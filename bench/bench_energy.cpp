@@ -27,38 +27,17 @@
 //   --smoke  fewer Monte-Carlo trials and lookups (the ctest gate)
 //   --out    output JSON path (default BENCH_energy.json in the cwd)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <chrono>
 #include <cmath>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/scenario.h"
 #include "core/theory.h"
 #include "util/rng.h"
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 struct McPoint {
     double duty = 1.0;
@@ -154,25 +133,11 @@ int main(int argc, char** argv) {
 
     bool smoke = false;
     std::string out_path = "BENCH_energy.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_energy [--smoke] [--out PATH]\n");
-            return 2;
-        }
+    if (!parse_args(argc, argv, "bench_energy", smoke, out_path)) {
+        return 2;
     }
 
-    bool ok = true;
-    const auto check = [&ok](bool cond, const char* what) {
-        if (!cond) {
-            std::fprintf(stderr, "FATAL: %s\n", what);
-            ok = false;
-        }
-    };
+    Gate check;
 
     // ---- part 1: MC duty/lease sweep vs the closed-form bound ----
     const std::size_t n_mc = 400;
@@ -300,7 +265,7 @@ int main(int argc, char** argv) {
           "expiring every value cost no availability (leases inert?)");
     const double e2e_wall = now_seconds() - t1;
 
-    if (!ok) {
+    if (!check.ok) {
         return 1;
     }
 
@@ -372,14 +337,9 @@ int main(int argc, char** argv) {
             fmt_double(eternal.hit_ratio) + "}\n";
     json += "  }\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -39,13 +39,13 @@ core::ScenarioParams make_point(std::size_t point) {
     p.lookup_count = 4 * bench::lookup_count();
     p.op_spacing = 200 * sim::kMillisecond;
     p.op_timeout = 2500 * sim::kMillisecond;
+    p.op_max_attempts = 2;
     p.spec.advertise.kind = StrategyKind::kRandom;
     p.spec.lookup.kind = StrategyKind::kRandom;
     p.live.enabled = true;
     p.live.crash_fraction_per_sec = kChurnRate;
     p.live.join_fraction_per_sec = kChurnRate;
     p.live.sample_period = 5 * sim::kSecond;
-    p.live.op_max_attempts = 2;
     p.live.refresh = point == 1;
     p.live.refresh_eps_max = kEpsMax;
     return p;

@@ -1,5 +1,5 @@
 // Kernel micro/meso benchmark suite — the perf-regression harness for the
-// simulator hot path. Three layers:
+// simulator hot path. Four layers:
 //
 //   1. event_churn (micro): steady-state schedule/pop/cancel churn through
 //      the event queue, run twice — once on the production slab-backed
@@ -11,6 +11,9 @@
 //      workload.
 //   3. e2e_unique_path_n200 (meso): one full-stack n=200 mobile scenario
 //      with RANDOM advertise x UNIQUE-PATH lookup (the Fig. 10 shape).
+//   4. random_walk_step and two_ray_propagation (micro): the per-hop
+//      walk step of the UNIQUE-PATH/RANDOM-OPT strategies and the PHY's
+//      path-loss evaluation.
 //
 // Emits BENCH_kernel.json (schema documented in EXPERIMENTS.md): all
 // counters are deterministic for the fixed seeds baked in here; only the
@@ -20,16 +23,19 @@
 //   --smoke  shrunk workloads for the ctest / scripts/check.sh gate
 //   --out    output JSON path (default BENCH_kernel.json in the cwd)
 #include <algorithm>
-#include <chrono>
+#include <bit>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "core/scenario.h"
+#include "geom/random_walk.h"
+#include "geom/rgg.h"
 #include "geom/spatial_grid.h"
 #include "legacy_event_queue.h"
+#include "phy/propagation.h"
 #include "sim/event_queue.h"
 #include "util/kernel_stats.h"
 #include "util/mem.h"
@@ -37,12 +43,6 @@
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
 
 // ---------------------------------------------------------------------
 // JSON emission (hand-rolled; the schema is flat enough not to need more)
@@ -70,19 +70,6 @@ struct JsonWriter {
         return out;
     }
 };
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 // One bench record: name/impl, deterministic counters, wall measurements.
 struct BenchRecord {
@@ -328,6 +315,30 @@ core::ScenarioParams e2e_params(bool smoke) {
     return p;
 }
 
+// ---------------------------------------------------------------------
+// 5. random_walk_step / two_ray_propagation — single-kernel loops; the
+//    digest folds every output in, so the loop cannot be optimized away
+// ---------------------------------------------------------------------
+
+template <typename Step>
+BenchRecord time_loop(const char* name, const char* impl, std::uint64_t n,
+                      Step step) {
+    std::uint64_t digest = 0;
+    const double start = now_seconds();
+    for (std::uint64_t i = 0; i < n; ++i) {
+        digest = digest * 1099511628211ULL + step();
+    }
+    BenchRecord rec;
+    rec.name = name;
+    rec.impl = impl;
+    rec.work_items = n;
+    rec.wall_seconds = now_seconds() - start;
+    rec.items_per_second = static_cast<double>(n) / rec.wall_seconds;
+    rec.counters = {{"digest", digest}};
+    std::printf("  %s: %.3g items/s\n", name, rec.items_per_second);
+    return rec;
+}
+
 }  // namespace
 }  // namespace pqs::bench
 
@@ -337,16 +348,8 @@ int main(int argc, char** argv) {
 
     bool smoke = false;
     std::string out_path = "BENCH_kernel.json";
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_kernel [--smoke] [--out PATH]\n");
-            return 2;
-        }
+    if (!parse_args(argc, argv, "bench_kernel", smoke, out_path)) {
+        return 2;
     }
 
     const std::size_t churn_pending = 4096;
@@ -489,6 +492,26 @@ int main(int argc, char** argv) {
                     r.hit_ratio);
     }
 
+    // --- 5. single-kernel loops ---
+    util::Rng walk_rng(4);
+    const geom::Rgg rgg =
+        geom::make_connected_rgg({400, 200.0, 10.0}, walk_rng);
+    util::NodeId at = 0;
+    records.push_back(time_loop(
+        "random_walk_step", "simple_walk", smoke ? 200'000 : 2'000'000, [&] {
+            at = geom::walk_step(rgg.graph, at, geom::WalkKind::kSimple,
+                                 walk_rng);
+            return std::uint64_t{at};
+        }));
+    const phy::PropagationParams prop;
+    double d = 1.0;
+    records.push_back(time_loop(
+        "two_ray_propagation", "phy", smoke ? 1'000'000 : 10'000'000, [&] {
+            d = d >= 1200.0 ? 1.0 : d + 1.0;
+            return std::bit_cast<std::uint64_t>(
+                phy::two_ray_rx_power_mw(prop, d));
+        }));
+
     // --- emit JSON ---
     JsonWriter json;
     json.str_field("schema", "pqs.bench_kernel/1");
@@ -506,15 +529,9 @@ int main(int argc, char** argv) {
     json.raw_field("derived",
                    "{\"event_churn_speedup\": " + fmt_double(speedup) + "}");
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json.finish())) {
         return 1;
     }
-    const std::string text = json.finish();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("wrote %s (event_churn_speedup=%.2fx)\n", out_path.c_str(),
                 speedup);
     return 0;

@@ -21,12 +21,10 @@
 //   --n N    override the node count (e.g. a 1M dry run; see DESIGN.md §10)
 //   --out    output JSON path (default BENCH_scale.json in the cwd)
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <chrono>
 #include <string>
 #include <vector>
 
+#include "bench_json.h"
 #include "net/node_stack.h"
 #include "net/world.h"
 #include "util/kernel_stats.h"
@@ -35,25 +33,6 @@
 
 namespace pqs::bench {
 namespace {
-
-double now_seconds() {
-    using Clock = std::chrono::steady_clock;
-    return std::chrono::duration<double>(Clock::now().time_since_epoch())
-        .count();
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-std::string fmt_u64(std::uint64_t v) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
 
 struct ScaleConfig {
     std::size_t n = 100'000;
@@ -159,20 +138,9 @@ int main(int argc, char** argv) {
     bool smoke = false;
     std::string out_path = "BENCH_scale.json";
     std::size_t n_override = 0;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--smoke") == 0) {
-            smoke = true;
-        } else if (std::strcmp(argv[i], "--n") == 0 && i + 1 < argc) {
-            n_override = static_cast<std::size_t>(
-                std::strtoull(argv[++i], nullptr, 10));
-        } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
-            out_path = argv[++i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: bench_scale [--smoke] [--n N] [--out "
-                         "PATH]\n");
-            return 2;
-        }
+    if (!parse_args(argc, argv, "bench_scale", smoke, out_path,
+                    &n_override)) {
+        return 2;
     }
 
     ScaleConfig cfg;
@@ -255,13 +223,7 @@ int main(int argc, char** argv) {
     // scale machinery (closed-form legs, packet recycling, far-future
     // calendar parking) was actually on the path, and churn kept the
     // population within its steady band.
-    bool ok = true;
-    const auto check = [&ok](bool cond, const char* what) {
-        if (!cond) {
-            std::fprintf(stderr, "FATAL: %s\n", what);
-            ok = false;
-        }
-    };
+    Gate check;
     check(events_fired > 0, "no events fired in the measured window");
     check(stats.grid_cell_crossings > 0, "no lazy-mobility cell crossings");
     check(stats.packet_pool_reuses > 0, "packet pool never recycled");
@@ -270,7 +232,7 @@ int main(int argc, char** argv) {
     check(world.alive_count() > cfg.n - 3 * cfg.churn_batch &&
               world.alive_count() <= cfg.n,
           "churn drifted the population out of its steady band");
-    if (!ok) {
+    if (!check.ok) {
         return 1;
     }
 
@@ -308,14 +270,9 @@ int main(int argc, char** argv) {
     }
     json += "}\n}\n";
 
-    std::FILE* f = std::fopen(out_path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot open %s for writing\n",
-                     out_path.c_str());
+    if (!write_file(out_path, json)) {
         return 1;
     }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
     std::printf("wrote %s\n", out_path.c_str());
     return 0;
 }

@@ -20,9 +20,12 @@
 #   4. trace JSON schema gate: a fresh `trace_demo --smoke` emission must
 #      satisfy scripts/check_trace_json.py (chrome://tracing-loadable,
 #      with a lookup span nesting packet-hop events)
-#   5. ASan+UBSan build with the debug invariant layer forced on
+#   5. perfbench/test_smoke.py: every benchmark workload at toy size,
+#      incl. the svc::KvWorkloadDriver op-stream cross-check (~60 s with
+#      its own build, so it stays out of the default ctest run)
+#   6. ASan+UBSan build with the debug invariant layer forced on
 #      (PQS_DCHECKS=ON) and the test suite rerun under it
-#   6. clang-format --dry-run gate (soft-skipped if clang-format is
+#   7. clang-format --dry-run gate (soft-skipped if clang-format is
 #      not installed; same for the optional clang-tidy build)
 #
 # Usage: scripts/check.sh [--with-tidy]
@@ -36,12 +39,12 @@ WITH_TIDY=0
 
 step() { printf '\n== %s ==\n' "$*"; }
 
-step "1/6 warnings-as-errors build + tests (build-check)"
+step "1/7 warnings-as-errors build + tests (build-check)"
 cmake -B build-check -S "$ROOT" -DPQS_WERROR=ON >/dev/null
 cmake --build build-check -j "$JOBS"
 ctest --test-dir build-check --output-on-failure -j "$JOBS"
 
-step "2/6 project analyzer (standalone rerun for a readable report)"
+step "2/7 project analyzer (standalone rerun for a readable report)"
 # Reuses the incremental cache the ctest run above populated, prints
 # per-rule wall time, and validates the JSON report against pqs_lint/1.
 python3 tools/pqs_lint/pqs_lint.py --root "$ROOT" --timings \
@@ -51,7 +54,7 @@ python3 scripts/check_lint_json.py build-check/pqs_lint_report.json
 python3 tools/pqs_lint/check_fixtures.py --root "$ROOT"
 python3 tools/pqs_lint/test_pqs_lint.py
 
-step "3/6 bench JSON schema gate (committed baselines + fresh smoke runs)"
+step "3/7 bench JSON schema gate (committed baselines + fresh smoke runs)"
 # The ctest pass above already ran bench_kernel --smoke, bench_scale
 # --smoke, bench_byzantine --smoke, bench_frontier --smoke and
 # bench_energy --smoke; validate their emissions alongside the committed
@@ -64,11 +67,14 @@ python3 scripts/check_bench_json.py BENCH_kernel.json BENCH_scale.json \
     build-check/bench/bench_frontier_smoke.json \
     build-check/bench/bench_energy_smoke.json
 
-step "4/6 trace JSON schema gate (fresh trace_demo --smoke emission)"
+step "4/7 trace JSON schema gate (fresh trace_demo --smoke emission)"
 build-check/examples/trace_demo --smoke --out build-check/trace_smoke
 python3 scripts/check_trace_json.py build-check/trace_smoke_seed12345.json
 
-step "5/6 ASan+UBSan build with PQS_DCHECKS=ON (build-asan)"
+step "5/7 benchmark smoke test (perfbench/test_smoke.py)"
+python3 perfbench/test_smoke.py
+
+step "6/7 ASan+UBSan build with PQS_DCHECKS=ON (build-asan)"
 cmake -B build-asan -S "$ROOT" -DPQS_WERROR=ON \
       -DPQS_SANITIZE=address,undefined -DPQS_DCHECKS=ON >/dev/null
 cmake --build build-asan -j "$JOBS"
@@ -76,7 +82,7 @@ cmake --build build-asan -j "$JOBS"
 UBSAN_OPTIONS=halt_on_error=1 \
     ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-step "6/6 formatting / tidy gates"
+step "7/7 formatting / tidy gates"
 if command -v clang-format >/dev/null 2>&1; then
     find src bench tests examples -name '*.cpp' -o -name '*.h' \
         | xargs clang-format --dry-run -Werror

@@ -6,6 +6,7 @@
 
 #include "core/byzantine_adversary.h"
 #include "core/maintenance.h"
+#include "core/op_driver.h"
 #include "obs/trace.h"
 #include "sim/fault_plan.h"
 #include "util/logging.h"
@@ -25,37 +26,6 @@ PhaseCounters snapshot(net::World& world) {
                          world.metrics().counter("net.routing.tx")};
 }
 
-// Continuation state for run_sequential. Shared-owned by the driver and by
-// every event the driver schedules: a straggler continuation firing after
-// run_sequential returned (deadline, abort) finds the state — including
-// the op closure itself — still alive. The previous version captured a
-// stack-local std::function by reference in those events, which is
-// exactly the use-after-scope this type exists to prevent.
-struct SeqState {
-    net::World& world;
-    std::function<void(std::size_t, std::function<void()>)> op;
-    const sim::Time spacing;
-    const std::size_t count;
-    const bool* abort;
-    std::size_t next = 0;
-    bool finished = false;
-};
-
-void seq_launch(const std::shared_ptr<SeqState>& state) {
-    if ((state->abort != nullptr && *state->abort) ||
-        state->next >= state->count) {
-        state->finished = true;
-        return;
-    }
-    const std::size_t index = state->next++;
-    state->op(index, [state] {
-        // pqs-lint: fire-and-forget(chain owns SeqState by shared_ptr; it
-        // ends itself via state->finished when the op budget is spent)
-        state->world.simulator().schedule_in(state->spacing,
-                                             [state] { seq_launch(state); });
-    });
-}
-
 // pqs-hot: called once per launched op. select(r) over the liveness
 // bitset consumes the same RNG draw as indexing the old alive_nodes()
 // snapshot and returns the same node — no O(n) copy per op.
@@ -68,8 +38,7 @@ std::optional<util::NodeId> random_alive(net::World& world, util::Rng& rng) {
 }
 
 // Self-rescheduling helper for the live phase's periodic jobs. The chain
-// owns its state (same shared-ownership discipline as SeqState); the body
-// returns false to stop the chain.
+// owns its state by shared_ptr; the body returns false to stop the chain.
 struct Periodic {
     net::World& world;
     const sim::Time period;
@@ -86,186 +55,260 @@ void periodic_fire(const std::shared_ptr<Periodic>& task) {
                                         [task] { periodic_fire(task); });
 }
 
-}  // namespace
-
-void run_sequential(net::World& world, std::size_t count, sim::Time spacing,
-                    sim::Time per_op_budget,
-                    std::function<void(std::size_t, std::function<void()>)> op,
-                    const bool* abort) {
-    if (count == 0) {
-        return;
+std::unique_ptr<membership::OracleMembership> make_membership(
+    net::World& world, const ScenarioParams& params) {
+    if (!params.use_membership) {
+        return nullptr;
     }
-    sim::Simulator& simulator = world.simulator();
-    const sim::Time deadline =
-        simulator.now() +
-        static_cast<sim::Time>(count) * (per_op_budget + spacing) +
-        60 * sim::kSecond;
-
-    auto state = std::make_shared<SeqState>(
-        SeqState{world, std::move(op), spacing, count, abort});
-    seq_launch(state);
-    while (!state->finished && !(abort != nullptr && *abort) &&
-           simulator.now() < deadline && simulator.step()) {
-    }
-    if (!state->finished && !(abort != nullptr && *abort)) {
-        PQS_WARN("scenario: sequential op driver hit its deadline with "
-                 << state->next << "/" << count << " ops launched");
-    }
+    membership::OracleMembershipParams mp;
+    mp.view_size = params.membership_view;
+    return std::make_unique<membership::OracleMembership>(world, mp);
 }
 
-ScenarioResult run_scenario(const ScenarioParams& params) {
-    net::World world(params.world);
-    const util::ScopedLogClock log_clock(
-        [&world] { return sim::to_seconds(world.simulator().now()); });
-    // Per-trial trace sink (thread-local, so parallel trials are
-    // independent). Nothing below is constructed when tracing is off, and
-    // obs::record() is a no-op — the run stays bit-identical.
-    const obs::TraceOptions& trace_opts = obs::trace_options();
-    std::unique_ptr<obs::TraceSink> trace_sink;
-    if (trace_opts.enabled) {
-        trace_sink = std::make_unique<obs::TraceSink>(world.simulator(),
-                                                      trace_opts.capacity);
+// One scenario run: the world and its services, then the phases in order
+// — warm-up, advertise, step churn, lookup (with the live-churn machinery
+// around it), drain, aggregate. Each op phase is a closed loop over its
+// own OpDriver, and every phase shares the one retry policy.
+class ScenarioRun {
+public:
+    explicit ScenarioRun(const ScenarioParams& params)
+        : params_(params),
+          world_(params.world),
+          log_clock_(
+              [this] { return sim::to_seconds(world_.simulator().now()); }),
+          // Per-trial trace sink (thread-local, so parallel trials are
+          // independent); with tracing off nothing is constructed and
+          // obs::record() is a no-op, so the run stays bit-identical.
+          trace_sink_(obs::trace_options().enabled
+                          ? std::make_unique<obs::TraceSink>(
+                                world_.simulator(),
+                                obs::trace_options().capacity)
+                          : nullptr),
+          scoped_sink_(trace_sink_.get()),
+          membership_(make_membership(world_, params)),
+          service_(world_, params.spec, membership_.get()),
+          rng_(params.world.seed ^ 0x5ca1ab1e5eed) {
+        ctx().op_timeout = params.op_timeout;
+        ctx().retry =
+            RetryPolicy{params.op_max_attempts, params.op_retry_backoff, 2.0};
+        ctx().value_lease = params.value_lease;
+        // Byzantine adversary: nothing below exists at b == 0 (no
+        // allocations, no RNG, no spawn listener), so the classic run is
+        // bit-identical to a build without the tamper hook.
+        if (params.byzantine.b > 0) {
+            byz_plan_ = std::make_unique<sim::ByzantinePlan>(
+                params.byzantine,
+                util::Rng(params.world.seed ^ 0xbad0c0de5eed));
+            byz_plan_->recruit_static(params.world.n);
+            world_.add_spawn_listener(
+                [plan = byz_plan_.get()](util::NodeId id) {
+                    plan->on_join(id);
+                });
+            byz_adversary_ =
+                std::make_unique<ByzantineAdversary>(world_, *byz_plan_);
+        }
+        result_.n = params.world.n;
+        result_.advertise_quorum =
+            service_.biquorum().spec().advertise.quorum_size;
+        result_.lookup_quorum = service_.biquorum().spec().lookup.quorum_size;
     }
-    const obs::ScopedTraceSink scoped_sink(trace_sink.get());
-    std::unique_ptr<membership::OracleMembership> membership;
-    if (params.use_membership) {
-        membership::OracleMembershipParams mp;
-        mp.view_size = params.membership_view;
-        membership =
-            std::make_unique<membership::OracleMembership>(world, mp);
-    }
-    LocationService service(world, params.spec, membership.get());
-    service.biquorum().context().op_timeout = params.op_timeout;
-    service.biquorum().context().retry = RetryPolicy{
-        params.op_max_attempts, params.op_retry_backoff, 2.0};
-    service.biquorum().context().value_lease = params.value_lease;
 
-    // Byzantine adversary: nothing below exists at b == 0 (no allocations,
-    // no RNG, no spawn listener), so the classic run is bit-identical to a
-    // build without the tamper hook.
-    std::unique_ptr<sim::ByzantinePlan> byz_plan;
-    std::unique_ptr<ByzantineAdversary> byz_adversary;
-    if (params.byzantine.b > 0) {
-        byz_plan = std::make_unique<sim::ByzantinePlan>(
-            params.byzantine,
-            util::Rng(params.world.seed ^ 0xbad0c0de5eed));
-        byz_plan->recruit_static(params.world.n);
-        world.add_spawn_listener(
-            [plan = byz_plan.get()](util::NodeId id) { plan->on_join(id); });
-        byz_adversary =
-            std::make_unique<ByzantineAdversary>(world, *byz_plan);
+    ScenarioResult run() {
+        world_.start();
+        world_.simulator().run_until(world_.simulator().now() +
+                                     params_.warmup);
+        advertise();
+        step_churn();
+        lookup();
+        aggregate();
+        return std::move(result_);
     }
 
-    ScenarioResult result;
-    result.n = params.world.n;
-    result.advertise_quorum =
-        service.biquorum().spec().advertise.quorum_size;
-    result.lookup_quorum = service.biquorum().spec().lookup.quorum_size;
+private:
+    ServiceContext& ctx() { return service_.biquorum().context(); }
+    // Lets in-flight stragglers land inside the phase that issued them.
+    void drain() {
+        world_.simulator().run_until(world_.simulator().now() +
+                                     2 * sim::kSecond);
+    }
 
-    world.start();
-    world.simulator().run_until(world.simulator().now() + params.warmup);
+    // Tallies are phase-local: a completion only touches them after its
+    // ticket resolved, which it cannot once the phase's driver closed.
+    void advertise() {
+        const PhaseCounters before = snapshot(world_);
+        util::Accumulator nodes;
+        std::size_t ok = 0;
+        keys_.reserve(params_.advertise_count);
+        OpDriver driver(ctx());
+        driver.run_closed(
+            params_.advertise_count, params_.op_spacing, [&](std::size_t i) {
+                const auto origin = random_alive(world_, rng_);
+                if (!origin) {
+                    PQS_WARN("scenario: no node left alive to advertise "
+                             "from; aborting");
+                    aborted_ = true;
+                    return false;
+                }
+                const util::Key key = 1000 + i;
+                keys_.push_back(key);
+                advertisers_.push_back(*origin);
+                service_.advertise(
+                    *origin, key, /*value=*/key * 7 + 1,
+                    [&nodes, &ok, op = driver.issue()](const AccessResult& r) {
+                        if (op.resolve()) {
+                            ok += r.ok ? 1 : 0;
+                            nodes.add(static_cast<double>(r.nodes_contacted));
+                        }
+                    });
+                return true;
+            });
+        drain();
+        const PhaseCounters after = snapshot(world_);
+        const double n =
+            std::max(1.0, static_cast<double>(params_.advertise_count));
+        result_.advertise_ok_ratio = static_cast<double>(ok) / n;
+        result_.avg_advertise_nodes = nodes.empty() ? 0.0 : nodes.mean();
+        result_.msgs_per_advertise = (after.data - before.data) / n;
+        result_.routing_per_advertise = (after.routing - before.routing) / n;
+    }
 
-    util::Rng rng(params.world.seed ^ 0x5ca1ab1e5eed);
-    bool aborted = false;
-
-    // ---- advertise phase ----
-    const PhaseCounters before_adv = snapshot(world);
-    std::vector<util::Key> keys;
-    keys.reserve(params.advertise_count);
-    std::vector<util::NodeId> advertisers;
-    util::Accumulator adv_nodes;
-    std::size_t adv_ok = 0;
-    run_sequential(
-        world, params.advertise_count, params.op_spacing, params.op_timeout,
-        [&](std::size_t i, std::function<void()> next) {
-            const auto origin = random_alive(world, rng);
-            if (!origin) {
-                PQS_WARN("scenario: no node left alive to advertise from; "
-                         "aborting");
-                aborted = true;
-                return;
+    // Churn applied as one step between the phases (Fig. 14(f)); live
+    // mode supersedes it.
+    void step_churn() {
+        if (aborted_ || params_.live.enabled) {
+            return;
+        }
+        if (params_.fail_fraction > 0.0) {
+            auto alive = world_.alive_nodes();
+            rng_.shuffle(alive);
+            const auto kill = static_cast<std::size_t>(
+                params_.fail_fraction * static_cast<double>(alive.size()));
+            for (std::size_t i = 0; i < kill; ++i) {
+                world_.fail_node(alive[i]);
             }
-            const util::Key key = 1000 + i;
-            keys.push_back(key);
-            advertisers.push_back(*origin);
-            service.advertise(*origin, key, /*value=*/key * 7 + 1,
-                              [&, next = std::move(next)](
-                                  const AccessResult& r) {
-                                  if (r.ok) {
-                                      ++adv_ok;
-                                  }
-                                  adv_nodes.add(static_cast<double>(
-                                      r.nodes_contacted));
-                                  next();
-                              });
-        },
-        &aborted);
-    // Drain stragglers so their messages stay in the advertise phase.
-    world.simulator().run_until(world.simulator().now() + 2 * sim::kSecond);
-    const PhaseCounters after_adv = snapshot(world);
-
-    // ---- churn between phases (Fig. 14(f); superseded by live mode) ----
-    const LiveChurnParams& live = params.live;
-    if (!aborted && !live.enabled && params.fail_fraction > 0.0) {
-        auto alive = world.alive_nodes();
-        rng.shuffle(alive);
-        const auto kill = static_cast<std::size_t>(
-            params.fail_fraction * static_cast<double>(alive.size()));
-        for (std::size_t i = 0; i < kill; ++i) {
-            world.fail_node(alive[i]);
+        }
+        if (params_.join_fraction > 0.0) {
+            const auto join = static_cast<std::size_t>(
+                params_.join_fraction * static_cast<double>(params_.world.n));
+            for (std::size_t i = 0; i < join; ++i) {
+                world_.spawn_node();
+            }
+        }
+        if (params_.adjust_lookup_to_network &&
+            (params_.fail_fraction > 0.0 || params_.join_fraction > 0.0)) {
+            const double scale =
+                std::sqrt(static_cast<double>(world_.alive_count()) /
+                          static_cast<double>(params_.world.n));
+            const auto adjusted = static_cast<std::size_t>(std::lround(
+                scale * static_cast<double>(result_.lookup_quorum)));
+            service_.biquorum().lookup_strategy().set_quorum_size(
+                std::max<std::size_t>(1, adjusted));
         }
     }
-    if (!aborted && !live.enabled && params.join_fraction > 0.0) {
-        const auto join = static_cast<std::size_t>(
-            params.join_fraction * static_cast<double>(params.world.n));
-        for (std::size_t i = 0; i < join; ++i) {
-            world.spawn_node();
+
+    void lookup() {
+        std::vector<util::NodeId> lookers;
+        const std::size_t alive_count = world_.alive_count();
+        for (const std::size_t idx : rng_.sample_without_replacement(
+                 alive_count, std::min(params_.lookup_nodes, alive_count))) {
+            lookers.push_back(world_.alive_set().select(idx));
         }
-    }
-    if (!aborted && !live.enabled && params.adjust_lookup_to_network &&
-        (params.fail_fraction > 0.0 || params.join_fraction > 0.0)) {
-        const double scale =
-            std::sqrt(static_cast<double>(world.alive_count()) /
-                      static_cast<double>(params.world.n));
-        const auto adjusted = static_cast<std::size_t>(std::lround(
-            scale * static_cast<double>(result.lookup_quorum)));
-        service.biquorum().lookup_strategy().set_quorum_size(
-            std::max<std::size_t>(1, adjusted));
+        if (!aborted_ && lookers.empty()) {
+            PQS_WARN("scenario: no node left alive to look up from; "
+                     "aborting");
+            aborted_ = true;
+        }
+        if (!aborted_ && params_.live.enabled) {
+            start_live();
+        }
+        const PhaseCounters before = snapshot(world_);
+        energy_before_lkp_ =
+            world_.energy() != nullptr ? world_.energy()->consumed_j() : 0.0;
+        std::size_t hits = 0;
+        std::size_t intersections = 0;
+        std::size_t reply_drops = 0;
+        std::size_t timeouts = 0;
+        std::size_t inconclusives = 0;
+        util::Accumulator nodes;
+        util::Accumulator latency;
+        OpDriver driver(ctx(), [&timeouts](std::size_t, sim::Time) {
+            ++timeouts;  // cut off by the deadline
+        });
+        const auto launch = [&](std::size_t i) {
+            const util::Key key =
+                params_.lookup_missing_keys
+                    ? 900000 + i
+                    : (keys_.empty() ? 1 : keys_[rng_.index(keys_.size())]);
+            const util::NodeId origin = lookers[rng_.index(lookers.size())];
+            // awake(): a duty-cycled client initiates work when its radio
+            // is on — a sleeping origin is skipped like a dead one, so
+            // availability measures the quorum system rather than the
+            // client's own duty cycle.
+            if (!world_.awake(origin)) {
+                return true;
+            }
+            service_.lookup(
+                origin, key,
+                [&, origin, op = driver.issue()](const AccessResult& r) {
+                    if (!op.resolve()) {
+                        return;
+                    }
+                    obs::record(r.trace, obs::EventKind::kOpResolved, origin,
+                                static_cast<std::uint64_t>(r.ok),
+                                static_cast<std::uint64_t>(r.attempts));
+                    if (r.ok) {
+                        ++hits;
+                        // Success-only: a timed-out lookup's "latency" is
+                        // just the timeout constant and used to drag the
+                        // mean toward it.
+                        latency.add(sim::to_seconds(r.latency));
+                        result_.latency_hist.record(r.latency);
+                    }
+                    timeouts += r.timed_out ? 1 : 0;
+                    inconclusives += r.inconclusive ? 1 : 0;
+                    intersections += r.intersected ? 1 : 0;
+                    reply_drops += r.intersected && !r.ok ? 1 : 0;
+                    nodes.add(static_cast<double>(r.nodes_contacted));
+                    if (live_active_) {
+                        sample_live(r);
+                    }
+                });
+            return true;
+        };
+        if (!aborted_) {
+            driver.run_closed(params_.lookup_count, params_.op_spacing,
+                              launch);
+        }
+        if (plan_ != nullptr) {
+            plan_->stop();  // freeze the fault processes, then drain
+        }
+        drain();
+        live_active_ = false;
+        if (params_.live.enabled) {
+            finish_live();
+        }
+        const PhaseCounters after = snapshot(world_);
+        const double n =
+            std::max(1.0, static_cast<double>(params_.lookup_count));
+        result_.hit_ratio = static_cast<double>(hits) / n;
+        result_.intersect_ratio = static_cast<double>(intersections) / n;
+        result_.reply_drop_ratio = static_cast<double>(reply_drops) / n;
+        result_.avg_lookup_nodes = nodes.empty() ? 0.0 : nodes.mean();
+        result_.avg_lookup_latency_s = latency.empty() ? 0.0 : latency.mean();
+        result_.timeout_rate = static_cast<double>(timeouts) / n;
+        result_.inconclusive_rate = static_cast<double>(inconclusives) / n;
+        result_.msgs_per_lookup = (after.data - before.data) / n;
+        result_.routing_per_lookup = (after.routing - before.routing) / n;
     }
 
-    // ---- lookup phase ----
-    std::vector<util::NodeId> lookers;
-    {
-        const std::size_t alive_count = world.alive_count();
-        const std::size_t k =
-            std::min<std::size_t>(params.lookup_nodes, alive_count);
-        for (const std::size_t idx :
-             rng.sample_without_replacement(alive_count, k)) {
-            lookers.push_back(world.alive_set().select(idx));
-        }
-    }
-    if (!aborted && lookers.empty()) {
-        PQS_WARN("scenario: no node left alive to look up from; aborting");
-        aborted = true;
-    }
-
-    // Live-churn machinery; constructed only when enabled so the classic
-    // two-phase scenario stays bit-identical (no extra RNG draws, events
-    // or allocations).
-    std::unique_ptr<sim::FaultPlan> plan;
-    std::unique_ptr<QuorumRefresher> refresher;
-    std::shared_ptr<NetworkSizeEstimator> estimator;
-    std::vector<LiveSample> samples;
-    std::vector<double> sample_alive_sum;
-    std::vector<double> sample_quorum_sum;
-    bool live_active = false;
-    sim::Time live_start = 0;
-    if (!aborted && live.enabled) {
-        live_active = true;
-        live_start = world.simulator().now();
-        service.biquorum().context().retry =
-            RetryPolicy{live.op_max_attempts, live.op_retry_backoff, 2.0};
-        world.link().set_fault_injection(
+    // Continuous churn (§6.1 measured live): a FaultPlan crashes, joins
+    // and recovers nodes while the lookups run, with link faults, the
+    // optional refresher and the optional size estimator around it.
+    void start_live() {
+        const LiveChurnParams& live = params_.live;
+        live_active_ = true;
+        live_start_ = world_.simulator().now();
+        world_.link().set_fault_injection(
             net::LinkFaults{live.link_drop, live.link_duplicate});
 
         sim::FaultPlanParams fp;
@@ -274,6 +317,7 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
         fp.recover_probability = live.recover_probability;
         fp.recover_delay_mean = live.recover_delay_mean;
         sim::FaultPlanHooks hooks;
+        net::World& world = world_;
         hooks.population = [&world] { return world.alive_count(); };
         hooks.crash_one =
             [&world](util::Rng& r) -> std::optional<util::NodeId> {
@@ -281,16 +325,15 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
             if (alive.count() == 0) {
                 return std::nullopt;
             }
-            const util::NodeId victim =
-                alive.select(r.index(alive.count()));
+            const util::NodeId victim = alive.select(r.index(alive.count()));
             world.fail_node(victim);
             return victim;
         };
         hooks.join_one = [&world](util::Rng&) { world.spawn_node(); };
         hooks.recover = [&world](util::NodeId id) { world.revive_node(id); };
-        plan = std::make_unique<sim::FaultPlan>(world.simulator(), fp,
-                                                std::move(hooks), rng.fork());
-        plan->start();
+        plan_ = std::make_unique<sim::FaultPlan>(
+            world_.simulator(), fp, std::move(hooks), rng_.fork());
+        plan_->start();
 
         if (live.refresh) {
             QuorumRefresher::Params rp;
@@ -302,229 +345,155 @@ ScenarioResult run_scenario(const ScenarioParams& params) {
             rp.churn_fraction_per_sec =
                 live.crash_fraction_per_sec + live.join_fraction_per_sec;
             rp.explicit_interval = live.refresh_interval;
-            refresher = std::make_unique<QuorumRefresher>(service, rp);
-            for (const util::NodeId node : advertisers) {
-                refresher->start_node(node);
+            refresher_ = std::make_unique<QuorumRefresher>(service_, rp);
+            for (const util::NodeId node : advertisers_) {
+                refresher_->start_node(node);
             }
         }
 
-        if (live.resize_lookup_from_estimate && membership != nullptr) {
-            estimator = std::make_shared<NetworkSizeEstimator>(*membership,
-                                                               rng.fork());
-            const std::size_t qa = result.advertise_quorum;
-            const double eps = params.spec.eps;
+        if (live.resize_lookup_from_estimate && membership_ != nullptr) {
+            auto estimator = std::make_shared<NetworkSizeEstimator>(
+                *membership_, rng_.fork());
             auto task = std::make_shared<Periodic>(Periodic{
-                world, live.estimate_period,
-                [&world, &service, &live_active, &rng, estimator, qa, eps,
-                 probes_wanted = live.estimate_probes] {
-                    if (!live_active) {
+                world_, live.estimate_period,
+                [this, estimator, probes_wanted = live.estimate_probes] {
+                    if (!live_active_) {
                         return false;
                     }
-                    const util::AliveSet& alive = world.alive_set();
+                    const util::AliveSet& alive = world_.alive_set();
                     if (alive.count() == 0) {
                         return true;
                     }
                     std::vector<util::NodeId> probes;
-                    const std::size_t k =
-                        std::min(probes_wanted, alive.count());
                     for (const std::size_t idx :
-                         rng.sample_without_replacement(alive.count(), k)) {
+                         rng_.sample_without_replacement(
+                             alive.count(),
+                             std::min(probes_wanted, alive.count()))) {
                         probes.push_back(alive.select(idx));
                     }
                     if (const auto est =
                             estimator->estimate_across(probes, 2)) {
                         const auto n_est = static_cast<std::size_t>(
                             std::max<long>(1, std::lround(*est)));
-                        service.biquorum().lookup_strategy().set_quorum_size(
-                            lookup_size_for(qa, n_est, eps));
+                        service_.biquorum().lookup_strategy().set_quorum_size(
+                            lookup_size_for(result_.advertise_quorum, n_est,
+                                            params_.spec.eps));
                     }
                     return true;
                 }});
             // pqs-lint: fire-and-forget(kicks off a shared_ptr-owned
             // periodic_fire chain; see the chain's own annotation)
-            world.simulator().schedule_in(live.estimate_period,
-                                          [task] { periodic_fire(task); });
+            world_.simulator().schedule_in(live.estimate_period,
+                                           [task] { periodic_fire(task); });
         }
     }
 
-    const PhaseCounters before_lkp = snapshot(world);
-    const double energy_before_lkp =
-        world.energy() != nullptr ? world.energy()->consumed_j() : 0.0;
-    std::size_t hits = 0;
-    std::size_t intersections = 0;
-    std::size_t reply_drops = 0;
-    std::size_t lkp_timeouts = 0;
-    std::size_t inconclusives = 0;
-    util::Accumulator lkp_nodes;
-    util::Accumulator lkp_latency;
-    if (!aborted) {
-        run_sequential(
-            world, params.lookup_count, params.op_spacing, params.op_timeout,
-            [&](std::size_t i, std::function<void()> next) {
-                const util::Key key =
-                    params.lookup_missing_keys
-                        ? 900000 + i
-                        : (keys.empty() ? 1 : keys[rng.index(keys.size())]);
-                const util::NodeId origin =
-                    lookers[rng.index(lookers.size())];
-                // awake(): a duty-cycled client initiates work when its
-                // radio is on — a sleeping origin is skipped like a dead
-                // one, so availability measures the quorum system rather
-                // than the client's own duty cycle.
-                if (!world.awake(origin)) {
-                    next();
-                    return;
-                }
-                service.lookup(
-                    origin, key,
-                    [&, origin,
-                     next = std::move(next)](const AccessResult& r) {
-                        obs::record(r.trace, obs::EventKind::kOpResolved,
-                                    origin,
-                                    static_cast<std::uint64_t>(r.ok),
-                                    static_cast<std::uint64_t>(r.attempts));
-                        if (r.ok) {
-                            ++hits;
-                            // Success-only: a timed-out lookup's "latency"
-                            // is just the timeout constant and used to drag
-                            // the mean toward it.
-                            lkp_latency.add(sim::to_seconds(r.latency));
-                            result.latency_hist.record(r.latency);
-                        }
-                        if (r.timed_out) {
-                            ++lkp_timeouts;
-                        }
-                        if (r.inconclusive) {
-                            ++inconclusives;
-                        }
-                        if (r.intersected) {
-                            ++intersections;
-                        }
-                        if (r.intersected && !r.ok) {
-                            ++reply_drops;
-                        }
-                        lkp_nodes.add(
-                            static_cast<double>(r.nodes_contacted));
-                        if (live_active) {
-                            const auto bucket = static_cast<std::size_t>(
-                                (world.simulator().now() - live_start) /
-                                live.sample_period);
-                            if (bucket >= samples.size()) {
-                                samples.resize(bucket + 1);
-                                sample_alive_sum.resize(bucket + 1, 0.0);
-                                sample_quorum_sum.resize(bucket + 1, 0.0);
-                            }
-                            LiveSample& s = samples[bucket];
-                            s.lookups += 1.0;
-                            s.hits += r.ok ? 1.0 : 0.0;
-                            s.intersections += r.intersected ? 1.0 : 0.0;
-                            sample_alive_sum[bucket] +=
-                                static_cast<double>(world.alive_count());
-                            sample_quorum_sum[bucket] += static_cast<double>(
-                                service.biquorum()
-                                    .lookup_strategy()
-                                    .config()
-                                    .quorum_size);
-                        }
-                        next();
-                    });
-            },
-            &aborted);
-    }
-    if (plan != nullptr) {
-        // Freeze the fault processes, then let in-flight ops drain.
-        plan->stop();
-    }
-    world.simulator().run_until(world.simulator().now() + 2 * sim::kSecond);
-    live_active = false;
-    if (live.enabled) {
-        world.link().set_fault_injection(net::LinkFaults{});
-        if (refresher != nullptr) {
-            result.live_refreshes =
-                static_cast<double>(refresher->refreshes_performed());
-            refresher->stop();
+    // Files a resolved live-phase lookup into its sample_period bucket;
+    // alive_nodes and lookup_quorum hold sums until finish_live().
+    void sample_live(const AccessResult& r) {
+        const auto bucket = static_cast<std::size_t>(
+            (world_.simulator().now() - live_start_) /
+            params_.live.sample_period);
+        if (bucket >= samples_.size()) {
+            samples_.resize(bucket + 1);
         }
-        if (plan != nullptr) {
-            result.live_crashes = static_cast<double>(plan->crashes());
-            result.live_joins = static_cast<double>(plan->joins());
-            result.live_recoveries = static_cast<double>(plan->recoveries());
+        LiveSample& s = samples_[bucket];
+        s.lookups += 1.0;
+        s.hits += r.ok ? 1.0 : 0.0;
+        s.intersections += r.intersected ? 1.0 : 0.0;
+        s.alive_nodes += static_cast<double>(world_.alive_count());
+        s.lookup_quorum += static_cast<double>(
+            service_.biquorum().lookup_strategy().config().quorum_size);
+    }
+
+    void finish_live() {
+        world_.link().set_fault_injection(net::LinkFaults{});
+        if (refresher_ != nullptr) {
+            result_.live_refreshes =
+                static_cast<double>(refresher_->refreshes_performed());
+            refresher_->stop();
         }
-        for (std::size_t b = 0; b < samples.size(); ++b) {
-            samples[b].t_s = sim::to_seconds(
-                static_cast<sim::Time>(b + 1) * live.sample_period);
-            if (samples[b].lookups > 0.0) {
-                samples[b].alive_nodes =
-                    sample_alive_sum[b] / samples[b].lookups;
-                samples[b].lookup_quorum =
-                    sample_quorum_sum[b] / samples[b].lookups;
+        if (plan_ != nullptr) {
+            result_.live_crashes = static_cast<double>(plan_->crashes());
+            result_.live_joins = static_cast<double>(plan_->joins());
+            result_.live_recoveries =
+                static_cast<double>(plan_->recoveries());
+        }
+        for (std::size_t b = 0; b < samples_.size(); ++b) {
+            LiveSample& s = samples_[b];
+            s.t_s = sim::to_seconds(static_cast<sim::Time>(b + 1) *
+                                    params_.live.sample_period);
+            if (s.lookups > 0.0) {
+                s.alive_nodes /= s.lookups;
+                s.lookup_quorum /= s.lookups;
             }
         }
-        result.live_samples = std::move(samples);
+        result_.live_samples = std::move(samples_);
     }
-    const PhaseCounters after_lkp = snapshot(world);
 
-    // ---- aggregate ----
-    const double n_adv =
-        std::max(1.0, static_cast<double>(params.advertise_count));
-    const double n_lkp =
-        std::max(1.0, static_cast<double>(params.lookup_count));
-    result.hit_ratio = static_cast<double>(hits) / n_lkp;
-    result.intersect_ratio = static_cast<double>(intersections) / n_lkp;
-    result.reply_drop_ratio = static_cast<double>(reply_drops) / n_lkp;
-    result.avg_lookup_nodes = lkp_nodes.empty() ? 0.0 : lkp_nodes.mean();
-    result.avg_lookup_latency_s =
-        lkp_latency.empty() ? 0.0 : lkp_latency.mean();
-    result.timeout_rate = static_cast<double>(lkp_timeouts) / n_lkp;
-    result.advertise_ok_ratio = static_cast<double>(adv_ok) / n_adv;
-    result.avg_advertise_nodes = adv_nodes.empty() ? 0.0 : adv_nodes.mean();
-    result.msgs_per_advertise = (after_adv.data - before_adv.data) / n_adv;
-    result.routing_per_advertise =
-        (after_adv.routing - before_adv.routing) / n_adv;
-    result.msgs_per_lookup = (after_lkp.data - before_lkp.data) / n_lkp;
-    result.routing_per_lookup =
-        (after_lkp.routing - before_lkp.routing) / n_lkp;
-    result.aborted = aborted ? 1.0 : 0.0;
-    result.load = summarize_load(service.biquorum().context());
-    result.inconclusive_rate = static_cast<double>(inconclusives) / n_lkp;
-    if (byz_plan != nullptr) {
-        result.byzantine_marked = static_cast<double>(byz_plan->marked());
-        result.byzantine_tampered =
-            static_cast<double>(byz_plan->counters().tampered());
-    }
-    result.sim_events =
-        static_cast<double>(world.simulator().events_processed());
-    result.kernel = world.kernel_stats();
-    result.energy_sleep_transitions =
-        static_cast<double>(result.kernel.energy_sleep_transitions);
-    result.energy_depletions =
-        static_cast<double>(result.kernel.energy_depletions);
-    result.lease_expirations =
-        static_cast<double>(result.kernel.lease_expirations);
-    result.refreshes_deferred =
-        static_cast<double>(result.kernel.refreshes_deferred);
-    if (world.energy() != nullptr) {
-        result.energy_consumed_j = world.energy()->consumed_j();
-        result.joules_per_lookup =
-            (result.energy_consumed_j - energy_before_lkp) / n_lkp;
-        result.time_to_first_partition_s =
-            world.time_to_first_partition_s();
-        result.time_to_half_depletion_s =
-            world.time_to_half_depletion_s();
-    }
-    result.arena_high_water =
-        static_cast<double>(world.arena_high_water());
-    result.totals = world.metrics();
-    if (trace_sink != nullptr && !trace_opts.out_base.empty()) {
-        const std::string path =
-            obs::trace_output_path(trace_opts.out_base, params.world.seed);
-        if (!trace_sink->dump_chrome_json(path)) {
-            PQS_WARN("scenario: failed to write trace to " << path);
+    void aggregate() {
+        ScenarioResult& r = result_;
+        r.aborted = aborted_ ? 1.0 : 0.0;
+        r.load = summarize_load(ctx());
+        if (byz_plan_ != nullptr) {
+            r.byzantine_marked = static_cast<double>(byz_plan_->marked());
+            r.byzantine_tampered =
+                static_cast<double>(byz_plan_->counters().tampered());
+        }
+        r.sim_events =
+            static_cast<double>(world_.simulator().events_processed());
+        r.kernel = world_.kernel_stats();
+        r.energy_sleep_transitions =
+            static_cast<double>(r.kernel.energy_sleep_transitions);
+        r.energy_depletions = static_cast<double>(r.kernel.energy_depletions);
+        r.lease_expirations = static_cast<double>(r.kernel.lease_expirations);
+        r.refreshes_deferred =
+            static_cast<double>(r.kernel.refreshes_deferred);
+        if (world_.energy() != nullptr) {
+            r.energy_consumed_j = world_.energy()->consumed_j();
+            r.joules_per_lookup =
+                (r.energy_consumed_j - energy_before_lkp_) /
+                std::max(1.0, static_cast<double>(params_.lookup_count));
+            r.time_to_first_partition_s = world_.time_to_first_partition_s();
+            r.time_to_half_depletion_s = world_.time_to_half_depletion_s();
+        }
+        r.arena_high_water = static_cast<double>(world_.arena_high_water());
+        r.totals = world_.metrics();
+        const std::string& out_base = obs::trace_options().out_base;
+        if (trace_sink_ != nullptr && !out_base.empty()) {
+            const std::string path =
+                obs::trace_output_path(out_base, params_.world.seed);
+            if (!trace_sink_->dump_chrome_json(path)) {
+                PQS_WARN("scenario: failed to write trace to " << path);
+            }
         }
     }
-    return result;
-}
 
-namespace {
+    const ScenarioParams& params_;
+    net::World world_;
+    const util::ScopedLogClock log_clock_;
+    std::unique_ptr<obs::TraceSink> trace_sink_;
+    const obs::ScopedTraceSink scoped_sink_;
+    std::unique_ptr<membership::OracleMembership> membership_;
+    LocationService service_;
+    std::unique_ptr<sim::ByzantinePlan> byz_plan_;
+    std::unique_ptr<ByzantineAdversary> byz_adversary_;
+    util::Rng rng_;
+    ScenarioResult result_;
+    bool aborted_ = false;
+    std::vector<util::Key> keys_;
+    std::vector<util::NodeId> advertisers_;
+    double energy_before_lkp_ = 0.0;
+    // Live-churn machinery; constructed only in live mode so the classic
+    // two-phase scenario stays bit-identical (no extra RNG draws, events
+    // or allocations).
+    std::unique_ptr<sim::FaultPlan> plan_;
+    std::unique_ptr<QuorumRefresher> refresher_;
+    std::vector<LiveSample> samples_;
+    bool live_active_ = false;
+    sim::Time live_start_ = 0;
+};
+
 
 // X-macro over every scalar metric of ScenarioResult; the single source of
 // truth for aggregation, so adding a field here is all it takes.
@@ -564,16 +533,17 @@ namespace {
     X(sim_events)                 \
     X(arena_high_water)
 
-// Same pattern for the per-bucket fields of LiveSample.
-#define PQS_LIVE_SAMPLE_METRICS(X) \
-    X(t_s)                         \
-    X(lookups)                     \
-    X(hits)                        \
-    X(intersections)               \
-    X(alive_nodes)                 \
-    X(lookup_quorum)
+// The per-bucket fields of LiveSample, aggregated element-wise.
+constexpr double LiveSample::*kLiveSampleFields[] = {
+    &LiveSample::t_s,         &LiveSample::lookups,
+    &LiveSample::hits,        &LiveSample::intersections,
+    &LiveSample::alive_nodes, &LiveSample::lookup_quorum};
 
 }  // namespace
+
+ScenarioResult run_scenario(const ScenarioParams& params) {
+    return ScenarioRun(params).run();
+}
 
 const std::vector<ScenarioMetric>& scenario_metrics() {
     static const std::vector<ScenarioMetric> metrics = {
@@ -627,20 +597,17 @@ ScenarioAggregate aggregate_scenarios(
     agg.mean.live_samples.assign(buckets, LiveSample{});
     agg.stddev.live_samples.assign(buckets, LiveSample{});
     for (std::size_t b = 0; b < buckets; ++b) {
-#define PQS_LIVE_FIELD_AGG(field)                                     \
-    {                                                                 \
-        util::Accumulator acc;                                        \
-        for (const ScenarioResult& one : results) {                   \
-            if (b < one.live_samples.size()) {                        \
-                acc.add(one.live_samples[b].field);                   \
-            }                                                         \
-        }                                                             \
-        agg.mean.live_samples[b].field = acc.mean();                  \
-        agg.stddev.live_samples[b].field =                            \
-            acc.count() > 1 ? acc.stddev() : 0.0;                     \
-    }
-        PQS_LIVE_SAMPLE_METRICS(PQS_LIVE_FIELD_AGG)
-#undef PQS_LIVE_FIELD_AGG
+        for (double LiveSample::*field : kLiveSampleFields) {
+            util::Accumulator acc;
+            for (const ScenarioResult& one : results) {
+                if (b < one.live_samples.size()) {
+                    acc.add(one.live_samples[b].*field);
+                }
+            }
+            agg.mean.live_samples[b].*field = acc.mean();
+            agg.stddev.live_samples[b].*field =
+                acc.count() > 1 ? acc.stddev() : 0.0;
+        }
     }
     return agg;
 }

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -54,10 +53,6 @@ struct LiveChurnParams {
     sim::Time estimate_period = 10 * sim::kSecond;
     std::size_t estimate_probes = 16;
 
-    // Operation-level retry for accesses issued during the live phase.
-    int op_max_attempts = 1;
-    sim::Time op_retry_backoff = 500 * sim::kMillisecond;
-
     // Width of the time buckets the measured intersection probability is
     // reported in (ScenarioResult::live_samples).
     sim::Time sample_period = 5 * sim::kSecond;
@@ -87,10 +82,9 @@ struct ScenarioParams {
     sim::Time warmup = 15 * sim::kSecond;
     sim::Time op_spacing = 200 * sim::kMillisecond;
     sim::Time op_timeout = 20 * sim::kSecond;
-    // Operation-level retry for the classic two-phase run (a vote-
-    // inconclusive lookup attempt retries like any failed one). The live
-    // phase keeps its own live.op_max_attempts. 1 = single attempt, the
-    // historical behavior.
+    // Operation-level retry for every phase, live or not (a vote-
+    // inconclusive lookup attempt retries like any failed one). 1 = single
+    // attempt, the historical behavior.
     int op_max_attempts = 1;
     sim::Time op_retry_backoff = 500 * sim::kMillisecond;
 
@@ -140,7 +134,9 @@ struct ScenarioResult {
     // lookups are excluded (they used to pollute the mean with the op
     // timeout constant); their frequency is timeout_rate below.
     double avg_lookup_latency_s = 0.0;
-    double timeout_rate = 0.0;     // lookups that ended in a timeout
+    // Lookups that timed out, or were still in flight at the op driver's
+    // deadline (censored).
+    double timeout_rate = 0.0;
 
     // Advertise-phase outcomes.
     double advertise_ok_ratio = 0.0;
@@ -242,16 +238,5 @@ ScenarioResult run_scenario(const ScenarioParams& params);
 // the aggregate is bit-identical for every thread count.
 ScenarioAggregate run_scenario_averaged(ScenarioParams params, int runs,
                                         std::uint64_t seed_base = 1);
-
-// Runs `count` operations back to back: each op's completion callback
-// schedules the next launch after `spacing`. Drives the simulator until
-// all ops completed, the deadline passed, or *abort became true. The
-// continuation state is shared-owned by every scheduled event, so ops
-// still in flight when the driver gives up stay safe to resolve later.
-// Exposed for the scenario driver's regression tests.
-void run_sequential(net::World& world, std::size_t count, sim::Time spacing,
-                    sim::Time per_op_budget,
-                    std::function<void(std::size_t, std::function<void()>)> op,
-                    const bool* abort = nullptr);
 
 }  // namespace pqs::core

@@ -4,20 +4,18 @@
 // percentiles honest (a closed loop slows its own arrival rate exactly
 // when the service degrades, hiding the queueing tail).
 //
-// Accounting rules the driver enforces (satellite 3):
+// Arrivals and the op ledger are core::OpDriver's open loop; this driver
+// draws each op (Zipf key, read/write kind, alive origin) and tallies its
+// outcome. Accounting rules:
 //  - operations still in flight when the measurement window closes are
-//    *censored*, not dropped: each contributes (end - issue) as a
-//    latency floor and counts toward the timeout rate. Dropping them
-//    (`count_inflight = false`, the pre-fix reproducer) under-reports
-//    p99 and timeout rate precisely when the service is slowest;
+//    *censored*, not dropped: each contributes its waited time as a
+//    latency floor and counts toward the timeout rate;
 //  - MRW load comes off LoadAccountant's resolved denominator, so the
 //    censored in-flight accesses do not deflate the per-access load of
 //    the operations that actually finished.
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 
 #include "obs/latency_histogram.h"
 #include "svc/kv_service.h"
@@ -42,9 +40,6 @@ struct KvWorkloadParams {
     // independent of the world's RNG, so the same op stream can be
     // replayed against different networks.
     std::uint64_t seed = 1;
-    // Satellite-3 reproducer knob: false drops in-flight ops from the
-    // report at the end instead of censoring them into the tail.
-    bool count_inflight = true;
 };
 
 struct KvWorkloadReport {
@@ -54,12 +49,12 @@ struct KvWorkloadReport {
     std::uint64_t writes = 0;
     std::uint64_t read_ok = 0;
     std::uint64_t write_ok = 0;
-    std::uint64_t timeouts = 0;  // op-level timeouts + censored in-flight
+    std::uint64_t timeouts = 0;  // op-level timeouts + censored
     std::uint64_t inconclusive = 0;
     std::uint64_t overflows = 0;
     std::uint64_t censored = 0;  // in flight at cutoff
     std::uint64_t skipped = 0;   // arrivals with no alive origin
-    // Cache counters snapshot from the KvService at finalize.
+    // Cache counters snapshot from the KvService at the cutoff.
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
     std::uint64_t cache_invalidations = 0;
@@ -89,49 +84,18 @@ struct KvWorkloadReport {
 class KvWorkloadDriver {
 public:
     KvWorkloadDriver(KvService& kv, KvWorkloadParams params);
-    ~KvWorkloadDriver();  // cancels the pending arrival timer
 
-    // Schedules the arrival process from the current virtual time.
-    void start();
-    // Cancels the pending arrival (idempotent).
-    void stop();
-    // Censors in-flight ops per KvWorkloadParams::count_inflight and
-    // snapshots load + cache counters. Completions that land after this
-    // are ignored. Idempotent.
-    void finalize();
-
-    // Convenience: start, drive the simulator to start + horizon + drain,
-    // finalize, return the report.
+    // Issues arrivals from now until now + horizon, drives the simulator
+    // `drain` longer, censors what is still in flight and returns the
+    // report. Completions that land later are ignored. Runs once.
     KvWorkloadReport run();
 
-    const KvWorkloadReport& report() const { return shared_->report; }
-    sim::Time end_of_arrivals() const { return arrivals_end_; }
-
 private:
-    struct InFlight {
-        sim::Time issued_at = 0;
-        bool is_read = false;
-    };
-    // Completion callbacks are held inside biquorum op state and can
-    // outlive the driver; they capture this shared block, never `this`.
-    struct Shared {
-        KvWorkloadReport report;
-        std::unordered_map<std::uint64_t, InFlight> inflight;
-        bool finalized = false;
-    };
-
-    void schedule_next_arrival();
-    void on_arrival();
-
     KvService& kv_;
     KvWorkloadParams params_;
     ZipfSampler zipf_;
     util::Rng rng_;
-    std::shared_ptr<Shared> shared_;
-    sim::EventId arrival_timer_ = sim::kInvalidEvent;
-    sim::Time arrivals_end_ = 0;
-    std::uint64_t next_op_ = 0;
-    bool started_ = false;
+    bool ran_ = false;
 };
 
 }  // namespace pqs::svc

@@ -120,14 +120,36 @@ TEST(LiveChurn, RetryRecoversSomeFailedOps) {
     once.live.crash_fraction_per_sec = 0.0;
     once.live.join_fraction_per_sec = 0.0;
     once.live.link_drop = 0.15;
-    once.live.op_max_attempts = 1;
+    once.op_max_attempts = 1;
     ScenarioParams twice = once;
-    twice.live.op_max_attempts = 2;
+    twice.op_max_attempts = 2;
     const ScenarioResult r_once = run_scenario(once);
     const ScenarioResult r_twice = run_scenario(twice);
     // The expected gap (one retry halves the per-op miss rate) dwarfs the
     // sampling noise; allow a small slack so the test is not seed-brittle.
     EXPECT_GT(r_twice.hit_ratio, r_once.hit_ratio - 0.05);
+}
+
+TEST(LiveChurn, ExhaustedRetriesAllCountAsTimeouts) {
+    // Every lookup exhausts 3 attempts against a link that drops every
+    // frame, so each takes 3 × op_timeout + backoffs. The closed loop's
+    // deadline must budget for the retries: the pre-fix driver sized it
+    // from op_timeout alone and silently dropped the last 17 of 40
+    // lookups (timeout_rate 0.575 with hit_ratio 0).
+    ScenarioParams p;
+    p.world.n = 60;
+    p.world.seed = 5;
+    p.world.oracle_neighbors = true;
+    p.spec.advertise.kind = StrategyKind::kRandom;
+    p.spec.lookup.kind = StrategyKind::kRandom;
+    p.lookup_count = 40;
+    p.op_timeout = sim::kSecond;
+    p.op_max_attempts = 3;
+    p.live.enabled = true;
+    p.live.link_drop = 1.0;
+    const ScenarioResult r = run_scenario(p);
+    EXPECT_DOUBLE_EQ(r.hit_ratio, 0.0);
+    EXPECT_DOUBLE_EQ(r.timeout_rate, 1.0);
 }
 
 TEST(LiveChurn, TotalStepChurnAbortsCleanly) {

@@ -6,7 +6,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
 
 namespace pqs::core {
 namespace {
@@ -183,62 +182,6 @@ TEST(Scenario, MembershipViewOverride) {
     p.spec.lookup.quorum_size = 5;
     const ScenarioResult r = run_scenario(p);
     EXPECT_GT(r.avg_advertise_nodes, 30.0);
-}
-
-TEST(RunSequential, StragglerCompletionAfterReturnIsSafe) {
-    // An op that outlives the driver: run_sequential returns at its
-    // deadline while op 0 is still unresolved. Completing it afterwards
-    // must resume the chain through shared-owned state — the pre-fix
-    // driver's scheduled events referenced a stack-local std::function,
-    // so this exact sequence was a use-after-scope (caught by ASan).
-    net::WorldParams wp;
-    wp.n = 10;
-    wp.seed = 11;
-    wp.oracle_neighbors = true;
-    net::World world(wp);
-    world.start();
-
-    std::function<void()> straggler;
-    std::size_t launched = 0;
-    run_sequential(world, 4, 50 * sim::kMillisecond,
-                   100 * sim::kMillisecond,
-                   [&](std::size_t i, std::function<void()> done) {
-                       ++launched;
-                       if (i == 0) {
-                           straggler = std::move(done);  // stalls the chain
-                       } else {
-                           done();
-                       }
-                   });
-    ASSERT_TRUE(static_cast<bool>(straggler));
-    EXPECT_EQ(launched, 1u);  // the driver gave up waiting on op 0
-
-    straggler();  // schedules the next launch after run_sequential returned
-    world.simulator().run_until(world.simulator().now() + 5 * sim::kSecond);
-    EXPECT_EQ(launched, 4u);  // the chain resumed and drained
-}
-
-TEST(RunSequential, AbortFlagStopsTheChain) {
-    net::WorldParams wp;
-    wp.n = 10;
-    wp.seed = 12;
-    wp.oracle_neighbors = true;
-    net::World world(wp);
-    world.start();
-
-    bool abort = false;
-    std::size_t launched = 0;
-    run_sequential(world, 100, 10 * sim::kMillisecond,
-                   100 * sim::kMillisecond,
-                   [&](std::size_t, std::function<void()> done) {
-                       ++launched;
-                       if (launched == 3) {
-                           abort = true;
-                       }
-                       done();
-                   },
-                   &abort);
-    EXPECT_EQ(launched, 3u);
 }
 
 TEST(Scenario, DeterministicForSeed) {

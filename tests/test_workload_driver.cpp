@@ -348,9 +348,8 @@ TEST_F(WorkloadFixture, CacheRecoversFromChurnOnlyWithInvalidation) {
     EXPECT_GT(fixed.post_hits, stale.post_hits);
 }
 
-// Satellite 3: operations still in flight at the end of the measurement
-// window must be censored into the tail and the timeout rate, not
-// silently dropped.
+// Operations still in flight at the end of the measurement window must be
+// censored into the tail and the timeout rate, not silently dropped.
 TEST_F(WorkloadFixture, InFlightOpsAtHorizonAreCensoredNotDropped) {
     KvWorkloadParams wp = small_workload();
     wp.arrival_rate = 30.0;
@@ -358,27 +357,24 @@ TEST_F(WorkloadFixture, InFlightOpsAtHorizonAreCensoredNotDropped) {
     wp.drain = 0;  // cut the window right at the last arrivals
 
     build(80, 17);
-    KvWorkloadDriver honest(*kv, wp);
-    const KvWorkloadReport with = honest.run();
+    KvWorkloadDriver driver(*kv, wp);
+    const KvWorkloadReport r = driver.run();
 
-    build(80, 17);
-    wp.count_inflight = false;
-    KvWorkloadDriver lossy(*kv, wp);
-    const KvWorkloadReport without = lossy.run();
-
-    // Same seed, same world: the op streams are identical, so the only
-    // difference is the accounting of the censored tail.
-    ASSERT_GT(with.censored, 0u);
-    EXPECT_EQ(with.censored, without.censored);
-    EXPECT_EQ(with.issued, without.issued);
-    EXPECT_EQ(with.timeouts, without.timeouts + with.censored);
-    EXPECT_EQ(with.read_latency.total() + with.write_latency.total(),
-              without.read_latency.total() + without.write_latency.total() +
-                  with.censored);
-    EXPECT_GT(with.timeout_rate(), without.timeout_rate());
-    // The load denominator only counts resolved accesses, so censoring
-    // does not deflate mrw_load: both accountings see the same load.
-    EXPECT_DOUBLE_EQ(with.load.mrw_load, without.load.mrw_load);
+    ASSERT_GT(r.censored, 0u);
+    // Every issued op resolved or was censored, exactly once...
+    EXPECT_EQ(r.issued, r.completed + r.censored);
+    // ...and left exactly one latency sample: a censored op enters its
+    // histogram at the time it waited.
+    EXPECT_EQ(r.read_latency.total() + r.write_latency.total(),
+              r.completed + r.censored);
+    // A censored op is a de-facto timeout.
+    EXPECT_GE(r.timeouts, r.censored);
+    // MRW load is taken over resolved accesses only: the censored ops
+    // already touched nodes, so counting them would deflate L(S).
+    const core::LoadAccountant& load = location->biquorum().context().load;
+    EXPECT_LT(load.resolved(), load.accesses());
+    EXPECT_DOUBLE_EQ(r.load.mrw_load,
+                     r.load.max / static_cast<double>(load.resolved()));
 }
 
 }  // namespace
