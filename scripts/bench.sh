@@ -12,10 +12,12 @@
 #                          timed-quorum bound + end-to-end energy sweep
 #                          (joules/lookup, network lifetime)
 #                          (pqs.bench_energy/1)
-# Run it on the machine whose numbers you want to record (the committed
-# baselines come from the 1-core CI container), then commit the refreshed
-# files together with a README "Performance" note when the numbers move
-# materially.
+# Run it on the machine whose numbers you want to record, then commit the
+# refreshed files together with a README "Performance" note that names
+# the host, when the numbers move materially. Every bench runs one
+# thread. BENCH_kernel.json was last regenerated on a shared 4-vCPU Xeon
+# VM (nproc = 4); the other baselines date from an earlier single-core
+# container.
 #
 #   scripts/bench.sh          # full workloads (bench_scale at n=100k)
 #   scripts/bench.sh smoke    # shrunk workloads (same as the ctest gates)

@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -39,7 +38,10 @@ public:
             PropagationParams propagation, RadioThresholds thresholds);
 
     // Registers the radio for a node; the channel does not own radios.
+    // The table is indexed by NodeId, so it grows to the largest id.
     void attach(util::NodeId id, Radio* radio);
+    // Later transmissions skip the node; frames already in flight still
+    // end at its radio.
     void detach(util::NodeId id);
 
     // Transmits `frame` from `src` for `duration`. The source radio is put
@@ -54,12 +56,17 @@ public:
     std::uint64_t next_frame_id() { return next_frame_id_++; }
 
 private:
+    Radio* radio_of(util::NodeId id) const {
+        return id < radios_.size() ? radios_[id] : nullptr;
+    }
+
     sim::Simulator& simulator_;
     const PositionProvider& positions_;
     PropagationParams propagation_;
     RadioThresholds thresholds_;
     double cutoff_m_;
-    std::unordered_map<util::NodeId, Radio*> radios_;
+    std::vector<Radio*> radios_;  // by NodeId; null = no radio attached
+    std::vector<util::NodeId> listeners_;  // transmit()'s reused buffer
     std::uint64_t next_frame_id_ = 1;
 };
 

@@ -8,7 +8,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "phy/propagation.h"
 #include "sim/time.h"
@@ -76,15 +76,18 @@ private:
     EnergyListener energy_;
     bool transmitting_ = false;
 
+    // Frames in flight at this radio, in a flat table: a radio rarely
+    // hears more than a handful at once. Only the locked frame is ever
+    // delivered, so only it keeps a copy of the Frame (in locked_).
     struct Arrival {
-        Frame frame;
+        std::uint64_t frame_id;
         double power_mw;
     };
-    std::unordered_map<std::uint64_t, Arrival> inflight_;
+    std::vector<Arrival> inflight_;
     double total_power_mw_ = 0.0;
 
     bool locked_ = false;
-    std::uint64_t locked_frame_ = 0;
+    Frame locked_frame_;
     bool locked_corrupted_ = false;
 
     std::uint64_t frames_received_ = 0;

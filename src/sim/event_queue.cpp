@@ -45,7 +45,31 @@ void EventQueue::release_slot(std::uint32_t slot) {
     ++free_count_;
 }
 
-void EventQueue::heap_push(HeapEntry entry) const {
+void EventQueue::append_to_open_entry(std::uint32_t slot,
+                                      std::uint32_t generation) {
+    HeapEntry& open = heap_[open_entry_];
+    if (!is_run(open)) {
+        std::uint32_t index;
+        if (free_runs_.empty()) {
+            index = static_cast<std::uint32_t>(runs_.size());
+            runs_.emplace_back();
+        } else {
+            index = free_runs_.back();
+            free_runs_.pop_back();
+        }
+        Run& run = runs_[index];
+        run.items.clear();
+        run.next = 0;
+        run.items.push_back(RunItem{open.ref, open.generation});
+        open.ref = index | kRunBit;
+    }
+    // The key stays the first item's (time, seq), so the entry needs no
+    // sift: this item's seq follows the run's last with nothing between.
+    runs_[run_of(open)].items.push_back(RunItem{slot, generation});
+}
+
+std::size_t EventQueue::heap_push(HeapEntry entry) const {
+    open_entry_ = kNoOpenEntry;
     // 4-ary sift-up: child i has parent (i - 1) / 4.
     std::size_t i = heap_.size();
     heap_.push_back(entry);
@@ -60,9 +84,11 @@ void EventQueue::heap_push(HeapEntry entry) const {
         i = parent;
     }
     heap_[i] = entry;
+    return i;
 }
 
 void EventQueue::heap_pop_root() const {
+    open_entry_ = kNoOpenEntry;
     ++stats_.heap_pops;
     const HeapEntry last = heap_.back();
     heap_.pop_back();
@@ -96,9 +122,30 @@ void EventQueue::heap_pop_root() const {
 }
 
 void EventQueue::drop_stale() const {
-    while (!heap_.empty() && !entry_live(heap_[0])) {
+    while (!heap_.empty()) {
+        const HeapEntry& root = heap_[0];
+        if (!is_run(root)) {
+            if (item_live(root.ref, root.generation)) {
+                return;
+            }
+            heap_pop_root();
+            ++stats_.stale_drops;
+            continue;
+        }
+        // Skip the run's cancelled items one by one, as the single-entry
+        // heap would pop their tombstones; the entry goes once used up.
+        Run& run = runs_[run_of(root)];
+        while (run.next < run.items.size() &&
+               !item_live(run.items[run.next].slot,
+                          run.items[run.next].generation)) {
+            ++run.next;
+            ++stats_.stale_drops;
+        }
+        if (run.next < run.items.size()) {
+            return;
+        }
+        free_runs_.push_back(run_of(root));
         heap_pop_root();
-        ++stats_.stale_drops;
     }
 }
 
@@ -116,7 +163,8 @@ void EventQueue::drain_overflow() const {
     if (overflow_.empty()) {
         return;
     }
-    std::vector<HeapEntry> pending;
+    // The scratch buffer keeps its capacity across calls.
+    std::vector<HeapEntry>& pending = overflow_scratch_;
     pending.swap(overflow_);
     overflow_min_bucket_ = 0;
     const std::int64_t window_end =
@@ -136,6 +184,7 @@ void EventQueue::drain_overflow() const {
             overflow_.push_back(e);
         }
     }
+    pending.clear();
 }
 
 void EventQueue::advance_one_bucket() const {
@@ -158,7 +207,8 @@ void EventQueue::advance_one_bucket() const {
         ring_[static_cast<std::size_t>(cursor_bucket_) & (kRingBuckets - 1)];
     ring_count_ -= bucket.size();
     for (const HeapEntry& e : bucket) {
-        if (entry_live(e)) {
+        // Calendar entries are always single: runs form on the heap path.
+        if (item_live(e.ref, e.generation)) {
             // Original seq rides along, so (time, seq) order inside the
             // heap is identical to never having parked the entry.
             heap_push(e);
@@ -185,6 +235,7 @@ void EventQueue::migrate_due_buckets() const {
     }
 }
 
+// pqs-hot: once per scheduled event.
 EventId EventQueue::schedule(Time when, EventFn fn) {
     const std::uint32_t slot = acquire_slot();
     Slot& s = slab_[slot];
@@ -197,18 +248,28 @@ EventId EventQueue::schedule(Time when, EventFn fn) {
     if (b <= cursor_bucket_ + 1) {
         // Near horizon (or the past): the cursor's own and next bucket go
         // straight to the heap — parking them could strand an entry behind
-        // an already-migrated bucket.
-        heap_push(entry);
-    } else if (b < ring_base_ + static_cast<std::int64_t>(kRingBuckets)) {
-        ring_[static_cast<std::size_t>(b) & (kRingBuckets - 1)]
-            .push_back(entry);
-        ++ring_count_;
-        ++stats_.calendar_pushes;
-    } else {
-        if (overflow_.empty() || b < overflow_min_bucket_) {
-            overflow_min_bucket_ = b;
+        // an already-migrated bucket. Same time as the previous schedule,
+        // still open: join its entry as the next item of a run.
+        if (open_entry_ != kNoOpenEntry &&
+            heap_[open_entry_].time == when) {
+            append_to_open_entry(slot, s.generation);
+        } else {
+            open_entry_ = heap_push(entry);
         }
-        overflow_.push_back(entry);
+    } else {
+        // Parked in the calendar, always as a single entry; the seq it
+        // takes ends any open run.
+        open_entry_ = kNoOpenEntry;
+        if (b < ring_base_ + static_cast<std::int64_t>(kRingBuckets)) {
+            ring_[static_cast<std::size_t>(b) & (kRingBuckets - 1)]
+                .push_back(entry);
+            ++ring_count_;
+        } else {
+            if (overflow_.empty() || b < overflow_min_bucket_) {
+                overflow_min_bucket_ = b;
+            }
+            overflow_.push_back(entry);
+        }
         ++stats_.calendar_pushes;
     }
     ++live_count_;
@@ -237,15 +298,29 @@ Time EventQueue::next_time() const {
     return heap_.empty() ? kTimeNever : heap_[0].time;
 }
 
+// pqs-hot: once per fired event; a run's items pop without a sift.
 EventQueue::Fired EventQueue::pop() {
     migrate_due_buckets();
     if (heap_.empty()) {
         throw std::logic_error("EventQueue::pop on empty queue");
     }
-    const HeapEntry top = heap_[0];
-    Fired fired{top.time, std::move(slab_[top.slot].fn)};
-    release_slot(top.slot);
-    heap_pop_root();
+    const HeapEntry& top = heap_[0];
+    const Time time = top.time;
+    std::uint32_t slot = top.ref;
+    if (is_run(top)) {
+        // drop_stale left the run's next item live. The root keeps its
+        // key: every other entry sorts before or after the whole run.
+        Run& run = runs_[run_of(top)];
+        slot = run.items[run.next++].slot;
+        if (run.next == run.items.size()) {
+            free_runs_.push_back(run_of(top));
+            heap_pop_root();
+        }
+    } else {
+        heap_pop_root();
+    }
+    Fired fired{time, std::move(slab_[slot].fn)};
+    release_slot(slot);
     --live_count_;
     ++stats_.events_fired;
     return fired;

@@ -11,6 +11,15 @@
 //   - cancellation is O(1): the slot (and its callback) is reclaimed
 //     eagerly, while the heap entry is lazily dropped when it reaches
 //     the root, detected by a slot generation mismatch;
+//   - same-time runs: an event scheduled into the heap path at the same
+//     time as the event scheduled just before it (so with the next
+//     sequence number) joins that event's heap entry as one more item of
+//     a run instead of taking an entry of its own. The channel's
+//     fan-out — one frame_end per listening radio, all at one instant —
+//     thus costs one heap push and one pop instead of ~170. A run's
+//     sequence numbers are contiguous, so no other entry can sort
+//     between its items: the run drains at the root in seq order with no
+//     sift, and the pop order is exactly the single-entry heap's;
 //   - a calendar tier fronts the heap for far-future events (mobility
 //     leg ends, heartbeat cycles, refresh timers): entries landing more
 //     than a bucket past the migration cursor are parked in a ring of
@@ -98,11 +107,29 @@ private:
         std::uint32_t next_free = kNoFreeSlot;
     };
 
+    // A heap entry names one event slot, or — with kRunBit set in `ref`
+    // — a run of same-time events; a run entry's key is its first item's
+    // (time, seq) and its `generation` is unused. Slot indices never reach
+    // the bit (2^31 slots would take over 100 GiB of slab).
+    static constexpr std::uint32_t kRunBit = 0x80000000u;
+
     struct HeapEntry {
         Time time;
         std::uint64_t seq;
+        std::uint32_t ref;
+        std::uint32_t generation;
+    };
+
+    struct RunItem {
         std::uint32_t slot;
         std::uint32_t generation;
+    };
+
+    // Items of one run in seq order; `next` is the first not yet fired
+    // or skipped. A run in the heap always has next < items.size().
+    struct Run {
+        std::vector<RunItem> items;
+        std::size_t next = 0;
     };
 
     static bool precedes(const HeapEntry& a, const HeapEntry& b) {
@@ -110,8 +137,13 @@ private:
         return a.seq < b.seq;
     }
 
-    bool entry_live(const HeapEntry& e) const {
-        return slab_[e.slot].generation == e.generation;
+    static bool is_run(const HeapEntry& e) { return (e.ref & kRunBit) != 0; }
+    static std::uint32_t run_of(const HeapEntry& e) {
+        return e.ref & ~kRunBit;
+    }
+
+    bool item_live(std::uint32_t slot, std::uint32_t generation) const {
+        return slab_[slot].generation == generation;
     }
 
     // Calendar geometry: one-second buckets, 4096-bucket ring (a ~68 min
@@ -120,11 +152,19 @@ private:
     static constexpr Time kBucketWidth = 1'000'000'000;  // 1 s in ns
     static constexpr std::size_t kRingBuckets = 4096;
 
+    static constexpr std::size_t kNoOpenEntry = ~std::size_t{0};
+
     std::uint32_t acquire_slot();
     void release_slot(std::uint32_t slot);
-    void heap_push(HeapEntry entry) const;
+    // Appends the slot to the heap entry the previous schedule() pushed,
+    // turning a single entry into a run on its second item.
+    void append_to_open_entry(std::uint32_t slot, std::uint32_t generation);
+    // Both close the open entry, which a sift may move; heap_push
+    // returns the pushed entry's final index.
+    std::size_t heap_push(HeapEntry entry) const;
     void heap_pop_root() const;
-    // Drops cancelled tombstones off the root so heap_[0] is live.
+    // Drops cancelled tombstones (single entries and run items) off the
+    // root so the root's next event is live.
     void drop_stale() const;
 
     static std::int64_t bucket_of(Time when) {
@@ -147,6 +187,14 @@ private:
     mutable std::vector<HeapEntry> heap_;
     mutable std::vector<std::vector<HeapEntry>> ring_{kRingBuckets};
     mutable std::vector<HeapEntry> overflow_;
+    mutable std::vector<HeapEntry> overflow_scratch_;
+    // Runs live in a recycled pool so their item buffers keep capacity.
+    mutable std::vector<Run> runs_;
+    mutable std::vector<std::uint32_t> free_runs_;
+    // Heap index of the entry the latest schedule() pushed or appended
+    // to, while no other push or pop has moved the heap since; the next
+    // schedule() at the same time joins it.
+    mutable std::size_t open_entry_ = kNoOpenEntry;
     mutable std::size_t ring_count_ = 0;
     mutable std::int64_t cursor_bucket_ = 0;  // buckets <= cursor are migrated
     mutable std::int64_t ring_base_ = 0;      // ring covers [base, base+N)

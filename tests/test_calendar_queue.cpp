@@ -10,67 +10,15 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
+#include "queue_model.h"
 #include "util/rng.h"
 
 namespace pqs::sim {
 namespace {
 
 constexpr Time kSec = 1'000'000'000;
-
-class ModelQueue {
-public:
-    EventId schedule(Time when) {
-        const EventId id = next_id_++;
-        events_.push_back(Event{when, next_seq_++, id});
-        std::stable_sort(events_.begin(), events_.end(),
-                         [](const Event& a, const Event& b) {
-                             if (a.time != b.time) return a.time < b.time;
-                             return a.seq < b.seq;
-                         });
-        return id;
-    }
-
-    bool cancel(EventId id) {
-        for (auto it = events_.begin(); it != events_.end(); ++it) {
-            if (it->id == id) {
-                events_.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool empty() const { return events_.empty(); }
-    std::size_t size() const { return events_.size(); }
-
-    Time next_time() const {
-        return events_.empty() ? kTimeNever : events_.front().time;
-    }
-
-    struct Popped {
-        Time time;
-        EventId id;
-    };
-
-    Popped pop() {
-        const Event front = events_.front();
-        events_.erase(events_.begin());
-        return Popped{front.time, front.id};
-    }
-
-private:
-    struct Event {
-        Time time;
-        std::uint64_t seq;
-        EventId id;
-    };
-    std::vector<Event> events_;
-    std::uint64_t next_seq_ = 0;
-    EventId next_id_ = 1;
-};
 
 // Random script whose schedule deltas mix four horizons: sub-second
 // (heap), tens of seconds (ring), a few thousand seconds (ring tail /
@@ -79,12 +27,7 @@ private:
 // construction, so bucket-base ties get exercised constantly.
 void run_script(std::uint64_t seed, int ops) {
     util::Rng rng(seed);
-    EventQueue queue;
-    ModelQueue model;
-    std::vector<EventId> ids_real;
-    std::vector<EventId> ids_model;
-    std::vector<EventId> fired_log;
-    Time now = 0;
+    Lockstep q;
 
     const auto pick_delta = [&rng]() -> Time {
         const double horizon = rng.uniform01();
@@ -105,53 +48,24 @@ void run_script(std::uint64_t seed, int ops) {
     for (int op = 0; op < ops; ++op) {
         const double dice = rng.uniform01();
         if (dice < 0.50) {
-            const Time when = now + pick_delta();
-            const EventId model_id = model.schedule(when);
-            const EventId real_id = queue.schedule(
-                when, [&fired_log, model_id] {
-                    fired_log.push_back(model_id);
-                });
-            ids_real.push_back(real_id);
-            ids_model.push_back(model_id);
+            q.schedule(q.now + pick_delta());
         } else if (dice < 0.70) {
-            if (!ids_real.empty()) {
-                const std::size_t pick = rng.index(ids_real.size());
-                const bool real_ok = queue.cancel(ids_real[pick]);
-                const bool model_ok = model.cancel(ids_model[pick]);
-                ASSERT_EQ(real_ok, model_ok)
-                    << "cancel disagreement at op " << op << " seed "
-                    << seed;
+            if (!q.ids_real.empty()) {
+                q.cancel(rng.index(q.ids_real.size()));
             }
-        } else if (!model.empty()) {
-            const ModelQueue::Popped want = model.pop();
-            auto fired = queue.pop();
-            ASSERT_EQ(fired.time, want.time)
-                << "pop time diverged at op " << op << " seed " << seed;
-            fired.fn();
-            ASSERT_FALSE(fired_log.empty());
-            ASSERT_EQ(fired_log.back(), want.id)
-                << "pop order diverged at op " << op << " seed " << seed;
-            now = fired.time;
+        } else if (!q.model.empty()) {
+            ASSERT_NO_FATAL_FAILURE(q.pop_and_check());
         }
-        ASSERT_EQ(queue.size(), model.size())
-            << "size diverged at op " << op << " seed " << seed;
-        ASSERT_EQ(queue.next_time(), model.next_time())
-            << "next_time diverged at op " << op << " seed " << seed;
+        ASSERT_NO_FATAL_FAILURE(q.expect_agree())
+            << "diverged at op " << op << " seed " << seed;
     }
 
-    while (!model.empty()) {
-        const ModelQueue::Popped want = model.pop();
-        auto fired = queue.pop();
-        ASSERT_EQ(fired.time, want.time);
-        fired.fn();
-        ASSERT_EQ(fired_log.back(), want.id);
-    }
-    EXPECT_TRUE(queue.empty());
+    q.drain();
 
     // The horizons above guarantee the calendar actually participated.
-    EXPECT_GT(queue.stats().calendar_pushes, 0u) << "seed " << seed;
-    EXPECT_LE(queue.stats().calendar_migrations,
-              queue.stats().calendar_pushes);
+    EXPECT_GT(q.queue.stats().calendar_pushes, 0u) << "seed " << seed;
+    EXPECT_LE(q.queue.stats().calendar_migrations,
+              q.queue.stats().calendar_pushes);
 }
 
 TEST(CalendarQueueModel, MixedHorizonScripts) {
@@ -166,46 +80,52 @@ TEST(CalendarQueueModel, BucketBoundaryTiesKeepFifo) {
     // scheduled from both tiers: half go in before the cursor reaches the
     // bucket (parked), half after a drain forces the cursor forward
     // (straight to the heap). Global FIFO by seq must still hold.
-    EventQueue queue;
-    ModelQueue model;
-    std::vector<EventId> fired_log;
+    Lockstep q;
     const Time tie = 2000 * kSec;
-
     for (int i = 0; i < 50; ++i) {
-        const EventId model_id = model.schedule(tie);
-        queue.schedule(tie, [&fired_log, model_id] {
-            fired_log.push_back(model_id);
-        });
+        q.schedule(tie);
     }
     // A near event pops first, pulling next_time() through the calendar.
-    const EventId near_model = model.schedule(5);
-    queue.schedule(5, [&fired_log, near_model] {
-        fired_log.push_back(near_model);
-    });
-    {
-        const ModelQueue::Popped want = model.pop();
-        auto fired = queue.pop();
-        ASSERT_EQ(fired.time, want.time);
-        fired.fn();
-        ASSERT_EQ(fired_log.back(), want.id);
-    }
+    q.schedule(5);
+    ASSERT_NO_FATAL_FAILURE(q.pop_and_check());
     // Force the cursor up to the tie bucket, then add late same-time
     // arrivals that must fire *after* every parked one.
-    ASSERT_EQ(queue.next_time(), tie);
+    ASSERT_EQ(q.queue.next_time(), tie);
     for (int i = 0; i < 50; ++i) {
-        const EventId model_id = model.schedule(tie);
-        queue.schedule(tie, [&fired_log, model_id] {
-            fired_log.push_back(model_id);
-        });
+        q.schedule(tie);
     }
-    while (!model.empty()) {
-        const ModelQueue::Popped want = model.pop();
-        auto fired = queue.pop();
-        ASSERT_EQ(fired.time, want.time);
-        fired.fn();
-        ASSERT_EQ(fired_log.back(), want.id);
+    q.drain();
+}
+
+TEST(CalendarQueueModel, RunTiedAtBucketBoundaryFiresAfterParkedEntries) {
+    // Twenty events parked in the calendar at an exact bucket base; then,
+    // once the cursor has moved up to that bucket, a same-time run of 30
+    // scheduled from inside a firing event goes straight to the heap.
+    // The parked entries hold the lower seqs, so all of them must fire
+    // before any item of the run, and the run still fires in order.
+    Lockstep q;
+    const Time tie = 2 * kSec;
+    for (int i = 0; i < 20; ++i) {
+        q.schedule(tie);  // bucket 2 > cursor + 1: parked
     }
-    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(q.queue.stats().calendar_pushes, 20u);
+    q.schedule(kSec);  // bucket 1: heap path; its pop moves the cursor
+    q.on_fire = [&q, tie](std::size_t index) {
+        if (index == 20) {
+            for (int i = 0; i < 30; ++i) {
+                q.schedule(tie);
+            }
+        }
+    };
+    ASSERT_NO_FATAL_FAILURE(q.pop_and_check());
+    EXPECT_EQ(q.queue.stats().calendar_pushes, 20u);  // the run: heap
+    q.drain();
+    EXPECT_EQ(q.fired_log.size(), 51u);
+    EXPECT_EQ(q.queue.stats().calendar_migrations, 20u);
+    // Every slot is free again: 50 were ever live at once (the run
+    // reused the slot of the event that scheduled it).
+    EXPECT_EQ(q.queue.size(), 0u);
+    EXPECT_EQ(q.queue.free_slots(), 50u);
 }
 
 TEST(CalendarQueueModel, CancelledParkedEntriesNeverFire) {

@@ -8,134 +8,64 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
+#include "queue_model.h"
 #include "util/rng.h"
 
 namespace pqs::sim {
 namespace {
 
-// Reference semantics: a vector of live events kept sorted by (time, seq).
-// Everything is O(n) and obviously correct.
-class ModelQueue {
-public:
-    EventId schedule(Time when) {
-        const EventId id = next_id_++;
-        events_.push_back(Event{when, next_seq_++, id});
-        std::stable_sort(events_.begin(), events_.end(),
-                         [](const Event& a, const Event& b) {
-                             if (a.time != b.time) return a.time < b.time;
-                             return a.seq < b.seq;
-                         });
-        return id;
-    }
-
-    bool cancel(EventId id) {
-        for (auto it = events_.begin(); it != events_.end(); ++it) {
-            if (it->id == id) {
-                events_.erase(it);
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool empty() const { return events_.empty(); }
-    std::size_t size() const { return events_.size(); }
-
-    Time next_time() const {
-        return events_.empty() ? kTimeNever : events_.front().time;
-    }
-
-    struct Popped {
-        Time time;
-        EventId id;
-    };
-
-    Popped pop() {
-        const Event front = events_.front();
-        events_.erase(events_.begin());
-        return Popped{front.time, front.id};
-    }
-
-private:
-    struct Event {
-        Time time;
-        std::uint64_t seq;
-        EventId id;
-    };
-    std::vector<Event> events_;
-    std::uint64_t next_seq_ = 0;
-    EventId next_id_ = 1;  // model-local id space
-};
-
 // One random script: `ops` weighted schedule/cancel/pop steps. Pops are
 // legal at any point (the simulator run loop interleaves them with
 // schedules), so this exercises heap/tombstone interleavings the seed
-// fuzz test (test_sim.cpp) deliberately avoided.
-void run_script(std::uint64_t seed, int ops) {
+// fuzz test (test_sim.cpp) deliberately avoided. A schedule step issues a
+// burst of `max_burst` or fewer events at one time — a same-time run —
+// and, with `follow_ups`, a firing event schedules a zero-delay
+// follow-up now and then, as simulator callbacks do.
+void run_script(std::uint64_t seed, int ops, std::uint64_t max_burst = 1,
+                bool follow_ups = false) {
     util::Rng rng(seed);
-    EventQueue queue;
-    ModelQueue model;
-    // Parallel id lists: ids_real[i] and ids_model[i] name the same event.
-    std::vector<EventId> ids_real;
-    std::vector<EventId> ids_model;
-    std::vector<EventId> fired_log;  // model ids, appended by callbacks
-    Time now = 0;  // pops advance a virtual clock; schedules stay >= now
+    Lockstep q;
+    if (follow_ups) {
+        q.on_fire = [&q, &rng](std::size_t) {
+            if (rng.uniform01() < 0.3) {
+                q.schedule(q.now);
+            }
+        };
+    }
 
     for (int op = 0; op < ops; ++op) {
         const double dice = rng.uniform01();
         if (dice < 0.50) {
             const Time when =
-                now + static_cast<Time>(rng.uniform_u64(10000));
-            const EventId model_id = model.schedule(when);
-            const EventId real_id = queue.schedule(
-                when, [&fired_log, model_id] {
-                    fired_log.push_back(model_id);
-                });
-            ids_real.push_back(real_id);
-            ids_model.push_back(model_id);
-        } else if (dice < 0.70) {
-            // Cancel a random previously-issued id (may already be gone:
-            // both sides must agree on the return value too).
-            if (!ids_real.empty()) {
-                const std::size_t pick = rng.index(ids_real.size());
-                const bool real_ok = queue.cancel(ids_real[pick]);
-                const bool model_ok = model.cancel(ids_model[pick]);
-                ASSERT_EQ(real_ok, model_ok)
-                    << "cancel disagreement at op " << op << " seed "
-                    << seed;
+                q.now + static_cast<Time>(rng.uniform_u64(10000));
+            const std::uint64_t burst =
+                max_burst > 1 ? 1 + rng.uniform_u64(max_burst) : 1;
+            for (std::uint64_t i = 0; i < burst; ++i) {
+                q.schedule(when);
             }
-        } else if (!model.empty()) {
-            const ModelQueue::Popped want = model.pop();
-            auto fired = queue.pop();
-            ASSERT_EQ(fired.time, want.time)
-                << "pop time diverged at op " << op << " seed " << seed;
-            fired.fn();
-            ASSERT_FALSE(fired_log.empty());
-            ASSERT_EQ(fired_log.back(), want.id)
-                << "pop order diverged at op " << op << " seed " << seed;
-            now = fired.time;
+        } else if (dice < 0.70) {
+            // Cancel a random previously-issued id (may already be gone).
+            if (!q.ids_real.empty()) {
+                q.cancel(rng.index(q.ids_real.size()));
+            }
+        } else {
+            // Pops keep pace with bursts so the queue stays bounded.
+            const std::uint64_t pops =
+                max_burst > 1 ? 1 + rng.uniform_u64(2 * max_burst) : 1;
+            for (std::uint64_t i = 0; i < pops && !q.model.empty(); ++i) {
+                ASSERT_NO_FATAL_FAILURE(q.pop_and_check());
+            }
         }
-        ASSERT_EQ(queue.size(), model.size())
-            << "size diverged at op " << op << " seed " << seed;
-        ASSERT_EQ(queue.empty(), model.empty());
-        ASSERT_EQ(queue.next_time(), model.next_time())
-            << "next_time diverged at op " << op << " seed " << seed;
+        ASSERT_NO_FATAL_FAILURE(q.expect_agree())
+            << "diverged at op " << op << " seed " << seed;
     }
 
-    // Drain both completely: the full residual firing order must match.
-    while (!model.empty()) {
-        const ModelQueue::Popped want = model.pop();
-        auto fired = queue.pop();
-        ASSERT_EQ(fired.time, want.time);
-        fired.fn();
-        ASSERT_EQ(fired_log.back(), want.id);
-    }
-    EXPECT_TRUE(queue.empty());
-    EXPECT_THROW(queue.pop(), std::logic_error);
+    q.drain();
+    EXPECT_THROW(q.queue.pop(), std::logic_error);
 }
 
 TEST(EventQueueModel, TenThousandStepScripts) {
@@ -150,32 +80,123 @@ TEST(EventQueueModel, TenThousandStepScripts) {
 TEST(EventQueueModel, SameTimeBurstKeepsFifo) {
     // Heavy tie-breaking: many events at identical times, random cancels.
     util::Rng rng(3);
-    EventQueue queue;
-    ModelQueue model;
-    std::vector<EventId> ids_real;
-    std::vector<EventId> ids_model;
-    std::vector<EventId> fired_log;
+    Lockstep q;
     for (int i = 0; i < 2000; ++i) {
-        const Time when = static_cast<Time>(rng.uniform_u64(5));  // 0..4
-        const EventId model_id = model.schedule(when);
-        ids_real.push_back(queue.schedule(
-            when,
-            [&fired_log, model_id] { fired_log.push_back(model_id); }));
-        ids_model.push_back(model_id);
+        q.schedule(static_cast<Time>(rng.uniform_u64(5)));  // 0..4
     }
     for (int i = 0; i < 500; ++i) {
-        const std::size_t pick = rng.index(ids_real.size());
-        ASSERT_EQ(queue.cancel(ids_real[pick]),
-                  model.cancel(ids_model[pick]));
+        q.cancel(rng.index(q.ids_real.size()));
     }
-    while (!model.empty()) {
-        const ModelQueue::Popped want = model.pop();
-        auto fired = queue.pop();
-        ASSERT_EQ(fired.time, want.time);
-        fired.fn();
-        ASSERT_EQ(fired_log.back(), want.id);
+    q.drain();
+}
+
+TEST(EventQueueRuns, RandomBurstScripts) {
+    // Same-time bursts of 1..300 events mixed with pops, cancels (which hit
+    // run heads, middles and tails at random) and zero-delay follow-ups
+    // scheduled from inside firing runs.
+    for (const std::uint64_t seed : {5ULL, 19ULL, 0xb0257ULL}) {
+        run_script(seed, 400, 300, true);
     }
-    EXPECT_TRUE(queue.empty());
+}
+
+TEST(EventQueueRuns, BurstOfEachSizeCostsOneHeapEntry) {
+    // A contiguous burst of k same-time events is one heap push and one
+    // root removal, whatever k is, and fires in scheduling order.
+    for (const int k : {1, 2, 3, 17, 170, 300}) {
+        Lockstep q;
+        q.schedule(0);  // an earlier single, so the run is not alone
+        for (int i = 0; i < k; ++i) {
+            q.schedule(100);
+        }
+        EXPECT_EQ(q.queue.stats().heap_pushes, 2u) << "k=" << k;
+        q.drain();
+        EXPECT_EQ(q.queue.stats().heap_pops, 2u) << "k=" << k;
+        EXPECT_EQ(q.queue.stats().events_fired,
+                  static_cast<std::uint64_t>(k + 1));
+        EXPECT_EQ(q.queue.free_slots(), static_cast<std::size_t>(k + 1));
+    }
+}
+
+TEST(EventQueueRuns, InterleavedTimesBreakRuns) {
+    // Runs form only between consecutive schedules: t1 t1 t2 t1 t1 is
+    // three entries, and the two t1 runs still fire in seq order.
+    Lockstep q;
+    for (const Time when : {10, 10, 20, 10, 10, 5, 5, 5, 20}) {
+        q.schedule(when);
+    }
+    EXPECT_EQ(q.queue.stats().heap_pushes, 5u);
+    q.drain();
+}
+
+TEST(EventQueueRuns, CancelsAtHeadMiddleTailAndWholeRun) {
+    Lockstep q;
+    for (int i = 0; i < 10; ++i) {
+        q.schedule(50);  // events 0..9: one run
+    }
+    for (int i = 0; i < 6; ++i) {
+        q.schedule(60);  // events 10..15: a second run
+    }
+    q.schedule(70);  // event 16: a single after them
+    EXPECT_TRUE(q.cancel(0));  // head
+    EXPECT_TRUE(q.cancel(4));  // middle
+    EXPECT_TRUE(q.cancel(5));  // adjacent middle
+    EXPECT_TRUE(q.cancel(9));  // tail
+    EXPECT_FALSE(q.cancel(9));  // twice is a no-op
+    for (std::size_t i = 10; i < 16; ++i) {
+        EXPECT_TRUE(q.cancel(i));  // the whole second run
+    }
+    ASSERT_NO_FATAL_FAILURE(q.expect_agree());
+    EXPECT_EQ(q.queue.size(), 7u);
+    // Cancelled items are reclaimed at once; nothing fires for them.
+    EXPECT_EQ(q.queue.free_slots(), 10u);
+    q.drain();
+    EXPECT_EQ(q.fired_log.size(), 7u);
+    // Each cancelled item is skipped once, like a popped tombstone.
+    EXPECT_EQ(q.queue.stats().stale_drops, 10u);
+    EXPECT_EQ(q.queue.size(), 0u);
+    EXPECT_EQ(q.queue.free_slots(), 17u);
+}
+
+TEST(EventQueueRuns, CancelInsideFiringRun) {
+    // A firing item cancels a later item of its own run, and an item
+    // whose slot was recycled by a fresh schedule stays dead.
+    Lockstep q;
+    for (int i = 0; i < 8; ++i) {
+        q.schedule(30);
+    }
+    q.on_fire = [&q](std::size_t index) {
+        if (index == 1) {
+            EXPECT_TRUE(q.cancel(6));
+            q.schedule(q.now + 5);  // reuses event 6's slot
+        }
+        if (index == 2) {
+            EXPECT_FALSE(q.cancel(1));  // already fired
+        }
+    };
+    q.drain();
+    EXPECT_EQ(q.fired_log.size(), 8u);
+    EXPECT_EQ(q.queue.free_slots(), 8u);
+}
+
+TEST(EventQueueRuns, ZeroDelaySchedulesFromInsideARun) {
+    // Every item of a 50-item run schedules one follow-up at the same
+    // instant. With nothing scheduled in between, each follow-up joins
+    // the run being drained, and all of them fire after the original 50,
+    // in order.
+    Lockstep q;
+    for (int i = 0; i < 50; ++i) {
+        q.schedule(1000);
+    }
+    q.on_fire = [&q](std::size_t index) {
+        if (index < 50) {
+            q.schedule(q.now);
+        }
+    };
+    q.drain();
+    EXPECT_EQ(q.fired_log.size(), 100u);
+    EXPECT_EQ(q.queue.stats().heap_pushes, 1u);
+    // Each follow-up reuses the slot its parent released on firing.
+    EXPECT_EQ(q.queue.free_slots(), 50u);
 }
 
 TEST(EventQueueSlab, MassCancelReclaimsEagerly) {
