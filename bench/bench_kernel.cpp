@@ -9,8 +9,9 @@
 //   2. cancel_reclaim (micro) and grid_mobility (meso): tombstone
 //      reclamation and SpatialGrid::move/query under a mobility-like
 //      workload.
-//   3. e2e_unique_path_n200 (meso): one full-stack n=200 mobile scenario
-//      with RANDOM advertise x UNIQUE-PATH lookup (the Fig. 10 shape).
+//   3. e2e_unique_path_n200 (meso): one n=200 mobile scenario over the
+//      abstract link with RANDOM advertise x UNIQUE-PATH lookup (the
+//      Fig. 10 shape); the PHY and MAC do not run in it.
 //   4. random_walk_step and two_ray_propagation (micro): the per-hop
 //      walk step of the UNIQUE-PATH/RANDOM-OPT strategies and the PHY's
 //      path-loss evaluation.
@@ -285,7 +286,7 @@ GridResult run_grid_mobility(std::uint64_t seed, std::size_t n,
 }
 
 // ---------------------------------------------------------------------
-// 4. e2e_unique_path_n200 — one full-stack scenario (Fig. 10 shape)
+// 4. e2e_unique_path_n200 — one abstract-link scenario (Fig. 10 shape)
 // ---------------------------------------------------------------------
 
 core::ScenarioParams e2e_params(bool smoke) {
@@ -473,7 +474,7 @@ int main(int argc, char** argv) {
         const double wall = now_seconds() - start;
         BenchRecord rec;
         rec.name = "e2e_unique_path_n200";
-        rec.impl = "full_stack";
+        rec.impl = "abstract_link";
         rec.work_items = static_cast<std::uint64_t>(r.sim_events);
         rec.wall_seconds = wall;
         rec.items_per_second = r.sim_events / wall;

@@ -1,6 +1,7 @@
 #include "mac/csma_mac.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/trace.h"
 
@@ -150,24 +151,29 @@ void CsmaMac::finish_head(bool success) {
 }
 
 void CsmaMac::send_ack(util::NodeId to, std::uint32_t mac_seq) {
-    phy::Frame ack;
-    ack.src = self_;
-    ack.dst = to;
-    ack.bytes = params_.ack_bytes;
-    ack.is_ack = true;
-    ack.mac_seq = mac_seq;
-    ack.frame_id = channel_.next_frame_id();
-    const sim::Time duration = frame_duration(params_.ack_bytes, true);
+    // The frame id is drawn now, at schedule time, so ids keep their
+    // order; the frame itself is rebuilt in the callback, whose captures
+    // then fit the event's inline buffer (no heap allocation per ack).
+    const std::uint64_t frame_id = channel_.next_frame_id();
     const std::uint64_t gen = generation_;
     // Acks go out after SIFS without contention (they win over DIFS waits).
     // pqs-lint: fire-and-forget(generation check orphans the ack after
     // shutdown(), which the destructor runs; stale timers are no-ops)
-    simulator_.schedule_in(params_.sifs, [this, gen, ack, duration] {
-        if (gen == generation_) {
-            channel_.transmit(self_, ack, duration);
-            if (tx_airtime_) {
-                tx_airtime_(sim::to_seconds(duration));
-            }
+    simulator_.schedule_in(params_.sifs, [this, gen, frame_id, to, mac_seq] {
+        if (gen != generation_) {
+            return;
+        }
+        phy::Frame ack;
+        ack.frame_id = frame_id;
+        ack.src = self_;
+        ack.dst = to;
+        ack.bytes = params_.ack_bytes;
+        ack.is_ack = true;
+        ack.mac_seq = mac_seq;
+        const sim::Time duration = frame_duration(params_.ack_bytes, true);
+        channel_.transmit(self_, std::move(ack), duration);
+        if (tx_airtime_) {
+            tx_airtime_(sim::to_seconds(duration));
         }
     });
 }

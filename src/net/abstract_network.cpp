@@ -30,7 +30,7 @@ void AbstractLink::release_ids(IdList ids) {
 
 // pqs-hot: per-message fan-out; every quorum access funnels through here.
 void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
-    world_.metrics().count("net." + packet_category(*p) + ".tx");
+    world_.metrics().count(packet_tx_metric(*p));
     const util::NodeId from = p->link_src;
     const util::NodeId to = p->link_dst;
     const sim::Time delay = hop_delay();
@@ -105,7 +105,7 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
 // pqs-hot: hello heartbeats and RREQ floods all land here — at n=100k
 // this is the single busiest function in the abstract stack.
 void AbstractLink::broadcast(PacketPtr p) {
-    world_.metrics().count("net." + packet_category(*p) + ".tx");
+    world_.metrics().count(packet_tx_metric(*p));
     const util::NodeId from = p->link_src;
     if (!world_.awake(from)) {
         return;

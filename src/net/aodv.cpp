@@ -10,10 +10,6 @@
 namespace pqs::net {
 
 namespace {
-std::uint64_t rreq_key(util::NodeId origin, std::uint32_t rreq_id) {
-    return (static_cast<std::uint64_t>(origin) << 32) | rreq_id;
-}
-
 // Sequence-number comparison (no wraparound handling; runs are short).
 bool seq_newer(util::SeqNum a, util::SeqNum b) { return a > b; }
 }  // namespace
@@ -32,8 +28,8 @@ void Aodv::touch_route(Route& route) {
 }
 
 bool Aodv::has_valid_route(util::NodeId dst) const {
-    const auto it = routes_.find(dst);
-    return it != routes_.end() && route_usable(it->second);
+    const Route* route = routes_.find(dst);
+    return route != nullptr && route_usable(*route);
 }
 
 std::size_t Aodv::valid_route_count() const {
@@ -47,9 +43,8 @@ std::size_t Aodv::valid_route_count() const {
 }
 
 std::uint16_t Aodv::route_hops(util::NodeId dst) const {
-    const auto it = routes_.find(dst);
-    return it != routes_.end() && route_usable(it->second) ? it->second.hops
-                                                           : 0;
+    const Route* route = routes_.find(dst);
+    return route != nullptr && route_usable(*route) ? route->hops : 0;
 }
 
 void Aodv::install_route(util::NodeId dst, util::NodeId next_hop,
@@ -98,8 +93,8 @@ void Aodv::send_data(util::NodeId dst, AppMsgPtr msg,
 void Aodv::transmit_data(util::NodeId dst, AppMsgPtr msg,
                          std::shared_ptr<DeliveryTracker> tracker,
                          std::uint8_t repairs) {
-    const auto it = routes_.find(dst);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    Route* route = routes_.find(dst);
+    if (route == nullptr || !route_usable(*route)) {
         obs::record(msg ? msg->trace : 0, obs::EventKind::kPacketDrop,
                     stack_.id(), dst);
         if (tracker) {
@@ -107,8 +102,8 @@ void Aodv::transmit_data(util::NodeId dst, AppMsgPtr msg,
         }
         return;
     }
-    touch_route(it->second);
-    const util::NodeId next_hop = it->second.next_hop;
+    touch_route(*route);
+    const util::NodeId next_hop = route->next_hop;
     auto packet = stack_.world().new_packet();
     packet->link_src = stack_.id();
     packet->link_dst = next_hop;
@@ -148,13 +143,12 @@ void Aodv::forward_data(PacketPtr p) {
         }
         return;
     }
-    const auto it = routes_.find(dst);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    Route* route = routes_.find(dst);
+    if (route == nullptr || !route_usable(*route)) {
         // No route at an intermediate node: warn the neighborhood, then
         // try a local repair (rediscover from here) if budget remains.
         RerrBody rerr;
-        rerr.unreachable.emplace_back(
-            dst, it == routes_.end() ? 0 : it->second.seq);
+        rerr.unreachable.emplace_back(dst, route == nullptr ? 0 : route->seq);
         auto out = stack_.world().new_packet();
         out->link_src = stack_.id();
         out->link_dst = kBroadcast;
@@ -173,8 +167,8 @@ void Aodv::forward_data(PacketPtr p) {
         }
         return;
     }
-    touch_route(it->second);
-    const util::NodeId next_hop = it->second.next_hop;
+    touch_route(*route);
+    const util::NodeId next_hop = route->next_hop;
     auto fwd = stack_.world().clone_packet(*p);
     fwd->link_src = stack_.id();
     fwd->link_dst = next_hop;
@@ -238,18 +232,20 @@ void Aodv::broadcast_rreq(util::NodeId dst, int ttl) {
     rreq.target = dst;
     rreq.origin_seq = ++my_seq_;
     rreq.rreq_id = next_rreq_id_++;
-    const auto it = routes_.find(dst);
-    if (it != routes_.end() && it->second.seq_known) {
-        rreq.target_seq = it->second.seq;
+    if (const Route* route = routes_.find(dst);
+        route != nullptr && route->seq_known) {
+        rreq.target_seq = route->seq;
         rreq.target_seq_unknown = false;
     }
-    rreq_seen_.insert(rreq_key(rreq.origin, rreq.rreq_id));
+    // One seen-record per flood; the origin never processes its own RREQ.
+    rreq.flood = stack_.world().flood_pool().acquire();
+    rreq.flood->test_and_set(stack_.id());
 
     auto p = stack_.world().new_packet();
     p->link_src = stack_.id();
     p->link_dst = kBroadcast;
     p->ttl = ttl;
-    p->body = rreq;
+    p->body = std::move(rreq);
     stack_.link_broadcast(std::move(p));
 
     Discovery& d = pending_[dst];
@@ -329,11 +325,15 @@ void Aodv::discovery_failed(util::NodeId dst) {
     }
 }
 
+// pqs-hot: once per RREQ reception, duplicates included — the bulk of
+// AODV's work.
 void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     if (body.origin == stack_.id()) {
         return;
     }
-    if (!rreq_seen_.insert(rreq_key(body.origin, body.rreq_id)).second) {
+    // Each node processes a flood once: the first copy to arrive marks it
+    // in the flood's record. A hand-built RREQ with no record is dropped.
+    if (!body.flood || !body.flood->test_and_set(stack_.id())) {
         return;  // duplicate
     }
     // Reverse route to the origin through the neighbor we heard this from.
@@ -354,18 +354,17 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     // Intermediate reply when we have a fresh-enough route — with enough
     // remaining lifetime that the data following the RREP will still find
     // it usable here.
-    const auto it = routes_.find(body.target);
+    const Route* route = routes_.find(body.target);
     const sim::Time min_remaining = 10 * params_.node_traversal_time;
-    if (it != routes_.end() && route_usable(it->second) &&
-        it->second.expiry - stack_.world().simulator().now() > min_remaining &&
-        it->second.seq_known &&
-        (body.target_seq_unknown || !seq_newer(body.target_seq,
-                                               it->second.seq))) {
+    if (route != nullptr && route_usable(*route) &&
+        route->expiry - stack_.world().simulator().now() > min_remaining &&
+        route->seq_known &&
+        (body.target_seq_unknown || !seq_newer(body.target_seq, route->seq))) {
         RrepBody rrep;
         rrep.origin = body.origin;
         rrep.target = body.target;
-        rrep.target_seq = it->second.seq;
-        rrep.hop_count = it->second.hops;
+        rrep.target_seq = route->seq;
+        rrep.hop_count = route->hops;
         send_rrep_towards(body.origin, rrep);
         return;
     }
@@ -378,7 +377,7 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     p->link_src = stack_.id();
     p->link_dst = kBroadcast;
     p->ttl = ttl - 1;
-    p->body = fwd;
+    p->body = std::move(fwd);
     // Forwarding jitter desynchronizes neighbor rebroadcasts (RFC 5148).
     const sim::Time jitter = static_cast<sim::Time>(stack_.rng().uniform_u64(
         static_cast<std::uint64_t>(params_.rreq_jitter) + 1));
@@ -392,11 +391,11 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
 }
 
 void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
-    const auto it = routes_.find(origin);
-    if (it == routes_.end() || !route_usable(it->second)) {
+    const Route* route = routes_.find(origin);
+    if (route == nullptr || !route_usable(*route)) {
         return;  // reverse route evaporated; the origin will retry
     }
-    const util::NodeId next_hop = it->second.next_hop;
+    const util::NodeId next_hop = route->next_hop;
     auto p = stack_.world().new_packet();
     p->link_src = stack_.id();
     p->link_dst = next_hop;
@@ -427,10 +426,9 @@ void Aodv::on_rrep(util::NodeId from, const RrepBody& body) {
 void Aodv::on_rerr(util::NodeId from, const RerrBody& body) {
     RerrBody propagated;
     for (const auto& [dst, seq] : body.unreachable) {
-        const auto it = routes_.find(dst);
-        if (it != routes_.end() && it->second.valid &&
-            it->second.next_hop == from) {
-            it->second.valid = false;
+        Route* route = routes_.find(dst);
+        if (route != nullptr && route->valid && route->next_hop == from) {
+            route->valid = false;
             propagated.unreachable.emplace_back(dst, seq);
         }
     }

@@ -14,9 +14,9 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "net/packet.h"
+#include "net/route_table.h"
 #include "sim/simulator.h"
 #include "util/ids.h"
 
@@ -64,15 +64,6 @@ public:
     std::uint16_t route_hops(util::NodeId dst) const;
 
 private:
-    struct Route {
-        util::NodeId next_hop = util::kInvalidNode;
-        std::uint16_t hops = 0;
-        util::SeqNum seq = 0;
-        bool seq_known = false;
-        bool valid = false;
-        sim::Time expiry = 0;
-    };
-
     struct QueuedData {
         AppMsgPtr msg;
         std::shared_ptr<DeliveryTracker> tracker;
@@ -104,9 +95,8 @@ private:
 
     NodeStack& stack_;
     AodvParams params_;
-    std::unordered_map<util::NodeId, Route> routes_;
+    RouteTable routes_;
     std::unordered_map<util::NodeId, Discovery> pending_;
-    std::unordered_set<std::uint64_t> rreq_seen_;  // origin<<32 | rreq_id
     util::SeqNum my_seq_ = 1;
     std::uint32_t next_rreq_id_ = 1;
 };

@@ -184,13 +184,17 @@ void NodeStack::deliver_local(util::NodeId prev_hop, util::NodeId net_src,
     }
 }
 
+// pqs-hot: once per packet reception on every node.
 void NodeStack::on_receive(PacketPtr p) {
     if (!running_) {
         return;
     }
     const util::NodeId from = p->link_src;
-    // Any overheard packet proves the sender is a live neighbor.
-    neighbor_table_.on_hello(from, world_.simulator().now());
+    // Any overheard packet proves the sender is a live neighbor. Oracle
+    // neighbors never read the table, so it is not kept.
+    if (!world_.params().oracle_neighbors) {
+        neighbor_table_.on_hello(from, world_.simulator().now());
+    }
 
     if (std::holds_alternative<HelloBody>(p->body)) {
         return;

@@ -24,6 +24,10 @@ struct CategoryVisitor {
     std::string operator()(const DataBody&) const { return "data"; }
 };
 
+const std::string kHelloTx = "net.hello.tx";
+const std::string kRoutingTx = "net.routing.tx";
+const std::string kDataTx = "net.data.tx";
+
 }  // namespace
 
 std::size_t Packet::size_bytes() const {
@@ -34,6 +38,13 @@ std::size_t Packet::size_bytes() const {
 
 std::string packet_category(const Packet& packet) {
     return std::visit(CategoryVisitor{}, packet.body);
+}
+
+const std::string& packet_tx_metric(const Packet& packet) {
+    if (std::holds_alternative<HelloBody>(packet.body)) {
+        return kHelloTx;
+    }
+    return packet.is_data() ? kDataTx : kRoutingTx;
 }
 
 std::shared_ptr<Packet> alloc_packet(util::BlockPool& pool) {

@@ -11,6 +11,7 @@
 #include <variant>
 #include <vector>
 
+#include "net/rreq_flood.h"
 #include "obs/trace.h"
 #include "util/ids.h"
 #include "util/pool.h"
@@ -61,6 +62,10 @@ struct RreqBody {
     bool target_seq_unknown = true;
     std::uint32_t rreq_id = 0;
     std::uint16_t hop_count = 0;
+    // Seen-record of this (origin, rreq_id) flood, shared by every copy
+    // (see net/rreq_flood.h). Simulator bookkeeping, not bytes on the air:
+    // size_bytes() does not count it.
+    FloodRef flood;
 };
 
 struct RrepBody {
@@ -104,6 +109,9 @@ using PacketPtr = std::shared_ptr<const Packet>;
 
 // Metric category for message accounting: "hello", "routing" or "data".
 std::string packet_category(const Packet& packet);
+// Per-transmission counter key, "net." + packet_category + ".tx": one of
+// three precomputed strings, so the link layers build none per send.
+const std::string& packet_tx_metric(const Packet& packet);
 
 // Pooled allocation: the Packet and its control block come from one
 // recycled BlockPool block (World::packet_pool()). The pool must outlive

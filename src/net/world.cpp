@@ -34,7 +34,7 @@ private:
             }
             return;
         }
-        world_.metrics().count("net." + packet_category(*p) + ".tx");
+        world_.metrics().count(packet_tx_metric(*p));
         phy::Frame frame;
         frame.dst = p->link_dst == kBroadcast ? phy::kBroadcastId
                                               : p->link_dst;

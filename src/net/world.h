@@ -15,6 +15,7 @@
 #include "net/aodv.h"
 #include "net/link.h"
 #include "net/packet.h"
+#include "net/rreq_flood.h"
 #include "phy/channel.h"
 #include "sim/energy_model.h"
 #include "sim/simulator.h"
@@ -215,6 +216,9 @@ public:
     std::shared_ptr<Packet> new_packet();
     std::shared_ptr<Packet> clone_packet(const Packet& original);
     util::BlockPool& packet_pool() { return packet_pool_; }
+    // RREQ flood seen-records (net/rreq_flood.h); declared before the
+    // packet pool, so every packet holding a FloodRef dies first.
+    FloodPool& flood_pool() { return flood_pool_; }
 
 private:
     // Lazy-mobility leg state: while `moving`, the node's exact position
@@ -239,6 +243,7 @@ private:
     // before the simulator: queued events hold PacketPtrs and raw pointers
     // into the arena, and members die in reverse declaration order.
     util::Arena arena_;
+    FloodPool flood_pool_;
     util::BlockPool packet_pool_;
     sim::Simulator simulator_;
     util::Rng rng_;

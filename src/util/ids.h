@@ -1,6 +1,7 @@
 // Strongly typed identifiers shared across the stack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -19,6 +20,13 @@ using Key = std::uint64_t;
 // Per-node monotonically increasing sequence numbers (quorum accesses,
 // random-walk ids, AODV sequence numbers).
 using SeqNum = std::uint32_t;
+
+// Home slot of `id` in an open-addressing table of 2^(64 - shift) slots
+// (Fibonacci hashing: dense ids spread over the high product bits).
+inline std::size_t id_slot(NodeId id, unsigned shift) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift);
+}
 
 // Globally unique id of a quorum access / random walk: origin plus sequence.
 struct AccessId {

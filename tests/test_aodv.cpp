@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "net/node_stack.h"
+#include "net/route_table.h"
+#include "net/rreq_flood.h"
 #include "net/world.h"
+#include "util/rng.h"
 
 namespace pqs::net {
 namespace {
@@ -263,6 +270,203 @@ TEST(Aodv, RouteHopsReasonable) {
     const auto via_aodv = w.stack(0).aodv().route_hops(dst);
     EXPECT_GE(via_aodv, shortest);
     EXPECT_LE(via_aodv, shortest + 3);
+}
+
+// A copy of an RREQ that reaches a node late, over a longer path, is
+// still a duplicate: the node neither re-forwards nor reroutes.
+TEST(Aodv, LateDuplicateOverLongerPathIsSuppressed) {
+    World w(abstract_world(80, 4));
+    w.start();
+    // The flood starts at `origin` and reaches `node` directly; the late
+    // copy comes from `other` as if it had travelled five hops.
+    util::NodeId node = util::kInvalidNode;
+    std::vector<util::NodeId> nbrs;
+    for (util::NodeId v = 0; v < w.node_count(); ++v) {
+        nbrs = w.physical_neighbors(v);
+        if (nbrs.size() >= 2) {
+            node = v;
+            break;
+        }
+    }
+    ASSERT_NE(node, util::kInvalidNode);
+    const util::NodeId origin = nbrs[0];
+    const util::NodeId other = nbrs[1];
+    const util::NodeId target = farthest(w, node);
+    ASSERT_NE(target, origin);
+
+    FloodRef flood = w.flood_pool().acquire();
+    flood->test_and_set(origin);
+    auto copy = [&](util::NodeId relay, std::uint16_t hops) {
+        auto p = w.new_packet();
+        p->link_src = relay;
+        p->link_dst = kBroadcast;
+        p->ttl = 6;
+        RreqBody rreq;
+        rreq.origin = origin;
+        rreq.target = target;
+        rreq.origin_seq = 7;
+        rreq.rreq_id = 1;
+        rreq.hop_count = hops;
+        rreq.flood = flood;
+        p->body = std::move(rreq);
+        return PacketPtr(p);
+    };
+
+    w.deliver(node, copy(origin, 0));
+    w.simulator().run_until(2 * sim::kSecond);
+    EXPECT_FALSE(flood->test_and_set(node));  // marked by the first copy
+    EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
+    const double routing = w.metrics().counter("net.routing.tx");
+    EXPECT_GT(routing, 0.0);  // the first copy was forwarded
+
+    w.deliver(node, copy(other, 4));
+    w.simulator().run_until(4 * sim::kSecond);
+    EXPECT_DOUBLE_EQ(w.metrics().counter("net.routing.tx"), routing);
+    EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
+}
+
+// A node that joins mid-flood has an id above every id the flood's record
+// has marked; it still processes the flood like any other node.
+TEST(Aodv, JoinerSpawnedMidFloodProcessesIt) {
+    World w(abstract_world(60, 6));
+    w.start();
+    const util::NodeId dst = farthest(w, 0);
+    bool delivered = false;
+    w.stack(0).send_routed(dst, std::make_shared<Ping>(),
+                           [&](bool ok) { delivered = ok; });
+    // The origin's first ring (TTL 2) is on the air; the joiner lands next
+    // to the origin and hears the neighbors' rebroadcasts, not the
+    // origin's own copy.
+    const util::NodeId joiner = w.spawn_node();
+    ASSERT_EQ(joiner, w.node_count() - 1);
+    w.set_position(joiner, w.position(0));
+    // Before the second ring (2 * TTL * 20 ms = 80 ms).
+    w.simulator().run_until(60 * sim::kMillisecond);
+    EXPECT_TRUE(w.stack(joiner).aodv().has_valid_route(0));
+    EXPECT_EQ(w.stack(joiner).aodv().route_hops(0), 2u);
+    w.simulator().run_until(30 * sim::kSecond);
+    EXPECT_TRUE(delivered);
+}
+
+TEST(Aodv, FloodRecordReleasedWithItsLastPacket) {
+    World w(abstract_world(80));
+    w.start();
+    const util::NodeId dst = farthest(w, 0);
+    EXPECT_EQ(w.flood_pool().live(), 0u);
+    bool delivered = false;
+    w.stack(0).send_routed(dst, std::make_shared<Ping>(),
+                           [&](bool ok) { delivered = ok; });
+    EXPECT_EQ(w.flood_pool().live(), 1u);  // the origin's packet holds it
+    w.simulator().run_until(30 * sim::kSecond);
+    ASSERT_TRUE(delivered);
+    EXPECT_EQ(w.flood_pool().live(), 0u);
+
+    // Copies share one record; the last one out returns it.
+    FloodRef a = w.flood_pool().acquire();
+    FloodRef b = a;
+    EXPECT_EQ(a.get(), b.get());
+    a.reset();
+    EXPECT_EQ(w.flood_pool().live(), 1u);
+    b.reset();
+    EXPECT_EQ(w.flood_pool().live(), 0u);
+}
+
+TEST(RreqFlood, TestAndSetAcrossGrowthAndReuse) {
+    FloodPool pool;
+    RreqFlood* record = nullptr;
+    {
+        FloodRef flood = pool.acquire();
+        record = flood.get();
+        for (util::NodeId v = 0; v < 1000; ++v) {
+            EXPECT_TRUE(flood->test_and_set(v * 7));
+        }
+        EXPECT_EQ(flood->size(), 1000u);
+        for (util::NodeId v = 0; v < 1000; ++v) {
+            EXPECT_FALSE(flood->test_and_set(v * 7));
+        }
+        // Ids above every marked one, up to the largest valid id.
+        EXPECT_TRUE(flood->test_and_set(1'000'000));
+        EXPECT_TRUE(flood->test_and_set(util::kInvalidNode - 1));
+        EXPECT_FALSE(flood->test_and_set(1'000'000));
+        EXPECT_FALSE(flood->test_and_set(util::kInvalidNode - 1));
+        EXPECT_EQ(flood->size(), 1002u);
+    }
+    // The record comes back cleared, keeping a table sized to that flood.
+    FloodRef again = pool.acquire();
+    ASSERT_EQ(again.get(), record);
+    EXPECT_EQ(again->size(), 0u);
+    EXPECT_GE(again->capacity(), 2048u);
+    EXPECT_TRUE(again->test_and_set(7));
+    again.reset();
+    // A small flood in a big table frees it rather than clearing it.
+    FloodRef small = pool.acquire();
+    ASSERT_EQ(small.get(), record);
+    EXPECT_EQ(small->capacity(), 0u);
+    EXPECT_TRUE(small->test_and_set(7));
+}
+
+// Differential test of the flat route table against std::unordered_map
+// under random install, invalidate, lookup and growth.
+TEST(RouteTable, MatchesUnorderedMapModel) {
+    util::Rng rng(17);
+    RouteTable table;
+    std::unordered_map<util::NodeId, Route> model;
+    auto random_id = [&] {
+        // Mostly dense ids, some far above them (late joiners).
+        return rng.bernoulli(0.9)
+                   ? static_cast<util::NodeId>(rng.index(600))
+                   : static_cast<util::NodeId>(1'000'000 + rng.index(50));
+    };
+    auto same = [](const Route& a, const Route& b) {
+        return a.next_hop == b.next_hop && a.hops == b.hops &&
+               a.seq == b.seq && a.seq_known == b.seq_known &&
+               a.valid == b.valid && a.expiry == b.expiry;
+    };
+    for (int step = 0; step < 20000; ++step) {
+        const util::NodeId dst = random_id();
+        const double op = rng.uniform(0.0, 1.0);
+        if (op < 0.4) {  // install (insert or overwrite)
+            Route r;
+            r.next_hop = static_cast<util::NodeId>(rng.index(600));
+            r.hops = static_cast<std::uint16_t>(1 + rng.index(20));
+            r.seq = static_cast<util::SeqNum>(rng.index(1000));
+            r.seq_known = rng.bernoulli(0.8);
+            r.valid = true;
+            r.expiry = static_cast<sim::Time>(rng.index(1'000'000));
+            table[dst] = r;
+            model[dst] = r;
+        } else if (op < 0.55) {  // invalidate
+            Route* r = table.find(dst);
+            const auto it = model.find(dst);
+            ASSERT_EQ(r != nullptr, it != model.end());
+            if (r != nullptr) {
+                r->valid = false;
+                it->second.valid = false;
+            }
+        } else if (op < 0.6) {  // default-insert, as install_route does
+            Route& r = table[dst];
+            Route& m = model[dst];
+            ASSERT_TRUE(same(r, m));
+        } else {  // lookup
+            const RouteTable& view = table;
+            const Route* r = view.find(dst);
+            const auto it = model.find(dst);
+            ASSERT_EQ(r != nullptr, it != model.end());
+            if (r != nullptr) {
+                ASSERT_TRUE(same(*r, it->second));
+            }
+        }
+        ASSERT_EQ(table.size(), model.size());
+    }
+    std::size_t walked = 0;
+    for (const auto& [dst, route] : table) {
+        const auto it = model.find(dst);
+        ASSERT_NE(it, model.end());
+        EXPECT_TRUE(same(route, it->second));
+        ++walked;
+    }
+    EXPECT_EQ(walked, model.size());
+    EXPECT_GT(model.size(), 500u);  // grew well past the initial index
 }
 
 }  // namespace
