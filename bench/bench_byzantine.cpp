@@ -201,17 +201,18 @@ int main(int argc, char** argv) {
         std::printf("  e2e b=%zu mix=%s: hit=%.3f inconclusive=%.3f "
                     "mrw_load=%.4f tampered=%.0f marked=%.0f\n",
                     b, mix_name.c_str(), r.hit_ratio, r.inconclusive_rate,
-                    r.load.mrw_load, r.byzantine_tampered,
+                    r.load.mrw_load,
+                    static_cast<double>(r.kernel.byzantine_tampers),
                     r.byzantine_marked);
         if (b == 0) {
-            check(r.byzantine_tampered == 0.0,
+            check(r.kernel.byzantine_tampers == 0,
                   "adversary tampered replies at b=0");
             check(r.inconclusive_rate == 0.0,
                   "vote-inconclusive lookups at b=0");
         } else {
             check(r.byzantine_marked == static_cast<double>(b),
                   "plan marked a different number of nodes than b");
-            check(r.byzantine_tampered > 0.0,
+            check(r.kernel.byzantine_tampers > 0,
                   "adversary never tampered a reply at b>0");
             check(r.hit_ratio > 0.5,
                   "b-masking voting failed to preserve most lookups");
@@ -265,7 +266,7 @@ int main(int argc, char** argv) {
                 ", \"mrw_load\": " + fmt_double(r.load.mrw_load) +
                 ", \"theory_load\": " +
                 fmt_double(core::access_load(r.lookup_quorum, n_e2e)) +
-                ", \"tampered\": " + fmt_double(r.byzantine_tampered) +
+                ", \"tampered\": " + fmt_u64(r.kernel.byzantine_tampers) +
                 ", \"marked\": " + fmt_double(r.byzantine_marked) + "}" +
                 (i + 1 < e2e.size() ? "," : "") + "\n";
     }

@@ -110,7 +110,7 @@ MeasuredConfig run_measured(const MeasuredMixParams& mp,
         }
     }
 
-    const double tx_before = world.metrics().counter("net.data.tx");
+    const std::uint64_t tx_before = world.metrics().net_data_tx;
     svc::KvWorkloadParams dp;
     dp.key_count = mp.key_count;
     dp.zipf_theta = 0.99;
@@ -121,7 +121,8 @@ MeasuredConfig run_measured(const MeasuredMixParams& mp,
     dp.seed = mp.seed ^ 0x5eedULL;
     svc::KvWorkloadDriver driver(kv, dp);
     out.report = driver.run();
-    out.tx_total = world.metrics().counter("net.data.tx") - tx_before;
+    out.tx_total =
+        static_cast<double>(world.metrics().net_data_tx - tx_before);
     out.msgs_per_op =
         out.report.issued > 0
             ? out.tx_total / static_cast<double>(out.report.issued)

@@ -475,9 +475,10 @@ int main(int argc, char** argv) {
         BenchRecord rec;
         rec.name = "e2e_unique_path_n200";
         rec.impl = "abstract_link";
-        rec.work_items = static_cast<std::uint64_t>(r.sim_events);
+        rec.work_items = r.kernel.events_fired;
         rec.wall_seconds = wall;
-        rec.items_per_second = r.sim_events / wall;
+        rec.items_per_second =
+            static_cast<double>(r.kernel.events_fired) / wall;
         rec.counters = counter_list(r.kernel);
         rec.counters.emplace_back(
             "hits_x1000",

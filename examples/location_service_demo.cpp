@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
                 "hit-rate", "refreshes", "data msgs/s");
     for (int minute = 1; minute <= minutes; ++minute) {
         simulator.run_until(minute * 60 * sim::kSecond);
-        const double msgs = world.metrics().counter("net.data.tx");
+        const auto msgs = static_cast<double>(world.metrics().net_data_tx);
         std::printf("%7dm %8zu %8zu %10.3f %12zu %14.1f\n", minute,
                     world.alive_count(), stats.lookups,
                     stats.lookups ? static_cast<double>(stats.hits) /

@@ -75,10 +75,11 @@ int main(int argc, char** argv) {
     while (!found && world.simulator().step()) {
     }
 
-    std::printf("total network-layer messages: data=%.0f routing=%.0f "
-                "hello=%.0f\n",
-                world.metrics().counter("net.data.tx"),
-                world.metrics().counter("net.routing.tx"),
-                world.metrics().counter("net.hello.tx"));
+    const util::KernelStats& msgs = world.metrics();
+    std::printf("total network-layer messages: data=%llu routing=%llu "
+                "hello=%llu\n",
+                static_cast<unsigned long long>(msgs.net_data_tx),
+                static_cast<unsigned long long>(msgs.net_routing_tx),
+                static_cast<unsigned long long>(msgs.net_hello_tx));
     return 0;
 }

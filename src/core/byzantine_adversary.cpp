@@ -18,7 +18,7 @@ std::uint64_t splitmix(std::uint64_t z) {
 }  // namespace
 
 ByzantineAdversary::ByzantineAdversary(net::World& world,
-                                       sim::ByzantinePlan& plan)
+                                       const sim::ByzantinePlan& plan)
     : world_(world), plan_(plan) {
     world_.set_tamper(this);
 }
@@ -39,25 +39,21 @@ bool ByzantineAdversary::tamper_value(sim::ByzantineBehavior behavior,
     if (found) {
         first_seen_.emplace(key, value);  // emplace keeps the oldest
     }
-    sim::ByzantinePlan::Counters& counters = plan_.counters();
     switch (behavior) {
         case sim::ByzantineBehavior::kDropReply:
-            ++counters.replies_dropped;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.metrics().byzantine_tampers;
             return false;
         case sim::ByzantineBehavior::kLieStale: {
             const auto it = first_seen_.find(key);
             if (it == first_seen_.end() || (found && it->second == value)) {
                 return true;  // nothing staler to tell yet
             }
-            ++counters.replies_stale;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.metrics().byzantine_tampers;
             value = it->second;
             return true;
         }
         case sim::ByzantineBehavior::kLieFabricate:
-            ++counters.replies_fabricated;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.metrics().byzantine_tampers;
             value = fabricate(key);
             return true;
         case sim::ByzantineBehavior::kReplay: {
@@ -75,8 +71,7 @@ bool ByzantineAdversary::tamper_value(sim::ByzantineBehavior behavior,
             if (replayed == value) {
                 return true;  // the replay happens to be current
             }
-            ++counters.replies_replayed;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.metrics().byzantine_tampers;
             value = replayed;
             return true;
         }
@@ -104,7 +99,6 @@ bool ByzantineAdversary::on_lookup_miss(util::NodeId at, std::uint64_t key,
     if (!plan_.faulty(at)) {
         return false;
     }
-    sim::ByzantinePlan::Counters& counters = plan_.counters();
     switch (plan_.behavior(at)) {
         case sim::ByzantineBehavior::kDropReply:
             return false;  // silence is this behavior's whole repertoire
@@ -114,12 +108,10 @@ bool ByzantineAdversary::on_lookup_miss(util::NodeId at, std::uint64_t key,
                 return false;  // nothing observed to lie about yet
             }
             forged_value = it->second;
-            ++counters.replies_stale;
             break;
         }
         case sim::ByzantineBehavior::kLieFabricate:
             forged_value = fabricate(key);
-            ++counters.replies_fabricated;
             break;
         case sim::ByzantineBehavior::kReplay: {
             const auto it = last_reply_.find(key);
@@ -127,11 +119,10 @@ bool ByzantineAdversary::on_lookup_miss(util::NodeId at, std::uint64_t key,
                 return false;  // nothing captured to replay yet
             }
             forged_value = it->second;
-            ++counters.replies_replayed;
             break;
         }
     }
-    ++world_.app_stats().byzantine_tampers;
+    ++world_.metrics().byzantine_tampers;
     ++miss_lies_in_flight_[key];  // consumed by the send that follows
     return true;
 }
@@ -174,8 +165,7 @@ net::TamperVerdict ByzantineAdversary::on_send(util::NodeId at,
         // forging other nodes' replies would let the adversary cast more
         // than b votes and break the masking-budget accounting.
         if (behavior == sim::ByzantineBehavior::kDropReply) {
-            ++plan_.counters().replies_dropped;
-            ++world_.app_stats().byzantine_tampers;
+            ++world_.metrics().byzantine_tampers;
             obs::record(msg->trace, obs::EventKind::kFaultyReplySuppressed,
                         at, static_cast<std::uint64_t>(behavior));
             return net::TamperVerdict::kDrop;

@@ -20,7 +20,7 @@ namespace pqs::core {
 
 class ByzantineAdversary final : public net::ReplyTamper {
 public:
-    ByzantineAdversary(net::World& world, sim::ByzantinePlan& plan);
+    ByzantineAdversary(net::World& world, const sim::ByzantinePlan& plan);
     ~ByzantineAdversary() override;
     ByzantineAdversary(const ByzantineAdversary&) = delete;
     ByzantineAdversary& operator=(const ByzantineAdversary&) = delete;
@@ -52,7 +52,7 @@ private:
                       Value& value, bool found);
 
     net::World& world_;
-    sim::ByzantinePlan& plan_;
+    const sim::ByzantinePlan& plan_;
     // Collusion memory: the first value ever seen per key (the stale lie)
     // and the previous reply per key (the replay source).
     std::unordered_map<util::Key, Value> first_seen_;

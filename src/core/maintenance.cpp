@@ -94,8 +94,7 @@ void QuorumRefresher::tick(util::NodeId node) {
     // of slipping a whole interval. Checking awake() — not alive() — is
     // the point: asleep is not crashed.
     if (service_.world().alive(node) && !service_.world().awake(node)) {
-        ++deferred_;
-        ++service_.world().app_stats().refreshes_deferred;
+        ++service_.world().metrics().refreshes_deferred;
         const sim::Time retry =
             std::max<sim::Time>(interval_ / 10, sim::kMillisecond);
         timers_[node] =

@@ -63,10 +63,6 @@ public:
 
     sim::Time interval() const { return interval_; }
     std::size_t refreshes_performed() const { return refreshes_; }
-    // Ticks that found the owner asleep (duty-cycled radio off) and
-    // deferred instead of refreshing — see tick() for why asleep and dead
-    // take different paths.
-    std::size_t refreshes_deferred() const { return deferred_; }
 
     // Invoked after a node's keys were re-advertised. A re-advertise picks
     // fresh advertise quorums, so any cached lookup quorum for that node's
@@ -83,7 +79,6 @@ private:
     Params params_;
     sim::Time interval_;
     std::size_t refreshes_ = 0;
-    std::size_t deferred_ = 0;
     std::function<void(util::NodeId)> on_refresh_;
     // Pending tick per node (cancellable).
     std::unordered_map<util::NodeId, sim::EventId> timers_;

@@ -11,6 +11,7 @@
 #include "sim/fault_plan.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/stats.h"
 
 namespace pqs::core {
 
@@ -22,8 +23,9 @@ struct PhaseCounters {
 };
 
 PhaseCounters snapshot(net::World& world) {
-    return PhaseCounters{world.metrics().counter("net.data.tx"),
-                         world.metrics().counter("net.routing.tx")};
+    const util::KernelStats& m = world.metrics();
+    return PhaseCounters{static_cast<double>(m.net_data_tx),
+                         static_cast<double>(m.net_routing_tx)};
 }
 
 // pqs-hot: called once per launched op. select(r) over the liveness
@@ -437,18 +439,8 @@ private:
         r.load = summarize_load(ctx());
         if (byz_plan_ != nullptr) {
             r.byzantine_marked = static_cast<double>(byz_plan_->marked());
-            r.byzantine_tampered =
-                static_cast<double>(byz_plan_->counters().tampered());
         }
-        r.sim_events =
-            static_cast<double>(world_.simulator().events_processed());
         r.kernel = world_.kernel_stats();
-        r.energy_sleep_transitions =
-            static_cast<double>(r.kernel.energy_sleep_transitions);
-        r.energy_depletions = static_cast<double>(r.kernel.energy_depletions);
-        r.lease_expirations = static_cast<double>(r.kernel.lease_expirations);
-        r.refreshes_deferred =
-            static_cast<double>(r.kernel.refreshes_deferred);
         if (world_.energy() != nullptr) {
             r.energy_consumed_j = world_.energy()->consumed_j();
             r.joules_per_lookup =
@@ -458,7 +450,6 @@ private:
             r.time_to_half_depletion_s = world_.time_to_half_depletion_s();
         }
         r.arena_high_water = static_cast<double>(world_.arena_high_water());
-        r.totals = world_.metrics();
         const std::string& out_base = obs::trace_options().out_base;
         if (trace_sink_ != nullptr && !out_base.empty()) {
             const std::string path =
@@ -516,7 +507,6 @@ private:
     X(load.mrw_load)              \
     X(inconclusive_rate)          \
     X(byzantine_marked)           \
-    X(byzantine_tampered)         \
     X(aborted)                    \
     X(live_crashes)               \
     X(live_joins)                 \
@@ -524,13 +514,8 @@ private:
     X(live_refreshes)             \
     X(energy_consumed_j)          \
     X(joules_per_lookup)          \
-    X(energy_depletions)          \
-    X(energy_sleep_transitions)   \
     X(time_to_first_partition_s)  \
     X(time_to_half_depletion_s)   \
-    X(lease_expirations)          \
-    X(refreshes_deferred)         \
-    X(sim_events)                 \
     X(arena_high_water)
 
 // The per-bucket fields of LiveSample, aggregated element-wise.
@@ -567,14 +552,12 @@ ScenarioAggregate aggregate_scenarios(
     // Copy non-metric context (n, quorum sizes) from the first run, then
     // merge raw counters across runs in index order.
     agg.mean = results.front();
-    agg.mean.totals.clear();
     agg.mean.kernel = util::KernelStats{};
     agg.mean.latency_hist = obs::LatencyHistogram{};
     agg.stddev.n = agg.mean.n;
     agg.stddev.advertise_quorum = agg.mean.advertise_quorum;
     agg.stddev.lookup_quorum = agg.mean.lookup_quorum;
     for (const ScenarioResult& one : results) {
-        agg.mean.totals.merge(one.totals);
         agg.mean.kernel += one.kernel;
         agg.mean.latency_hist.merge(one.latency_hist);
     }

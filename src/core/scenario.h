@@ -16,7 +16,6 @@
 #include "sim/byzantine_plan.h"
 #include "obs/latency_histogram.h"
 #include "util/kernel_stats.h"
-#include "util/stats.h"
 
 namespace pqs::core {
 
@@ -154,7 +153,6 @@ struct ScenarioResult {
     // b-masking / adversary accounting (all zero when byzantine.b == 0).
     double inconclusive_rate = 0.0;   // lookups ending vote-inconclusive
     double byzantine_marked = 0.0;    // nodes the plan actually marked
-    double byzantine_tampered = 0.0;  // replies dropped or forged
 
     // 1.0 when the scenario aborted cleanly (e.g. churn left no node alive
     // to look up from); the phases after the abort report zeros.
@@ -169,23 +167,12 @@ struct ScenarioResult {
     // Energy / duty-cycle accounting (all zero when world.energy is off).
     double energy_consumed_j = 0.0;  // joules drawn over the run, all nodes
     double joules_per_lookup = 0.0;  // lookup-phase draw / lookup count
-    double energy_depletions = 0.0;  // batteries that ran dry (nodes died)
-    double energy_sleep_transitions = 0.0;
     // Network lifetime marks; -1.0 = never reached during the run.
     double time_to_first_partition_s = 0.0;
     double time_to_half_depletion_s = 0.0;
-    // Timed-quorum accounting (zero when value_lease == 0).
-    double lease_expirations = 0.0;   // stored values evicted by lease
-    double refreshes_deferred = 0.0;  // refresher ticks that found the
-                                      // owner asleep and rescheduled
 
     // Time-bucketed live-phase outcomes (empty unless live.enabled).
     std::vector<LiveSample> live_samples;
-
-    // Simulator events processed by the run (deterministic for a seed);
-    // stored as double so it participates in the generic aggregation and
-    // stays exact up to 2^53 events.
-    double sim_events = 0.0;
 
     // Bytes of node-lifetime state placed in the world's bump arena
     // (high-water mark). Deterministic for a seed — the layout-level
@@ -193,17 +180,17 @@ struct ScenarioResult {
     // exp::report_perf prints next to it.
     double arena_high_water = 0.0;
 
-    // Kernel counters (event queue + spatial grid) at the end of the run;
-    // deterministic for a seed. Aggregation sums these across runs (like
-    // `totals`, they are raw counts, not per-run means).
+    // Every counter of the run (World::kernel_stats() at the end): events,
+    // messages, tampers, sleeps, depletions, lease expirations, deferred
+    // refreshes; deterministic for a seed. The fields above hold ratios
+    // and marks derived from them, never a copy of a count. Aggregation
+    // sums the block across runs: raw counts, not per-run means.
     util::KernelStats kernel;
 
     // Log-bucketed latencies of successful lookups (p50/p95/p99 via
     // quantile()). Always populated — it costs one array increment per
     // lookup — and merged across runs like `kernel`.
     obs::LatencyHistogram latency_hist;
-
-    util::MetricSet totals;  // raw world counters at the end
 };
 
 // One scalar metric of a ScenarioResult, addressable generically so
@@ -221,7 +208,7 @@ const std::vector<ScenarioMetric>& scenario_metrics();
 // Multi-run summary: per-metric mean and sample standard deviation (the
 // paper plots 10-run means with error bars on every figure point).
 struct ScenarioAggregate {
-    ScenarioResult mean;    // also carries n/quorum sizes and merged totals
+    ScenarioResult mean;    // also carries n/quorum sizes and summed kernel
     ScenarioResult stddev;  // sample stddev per metric; zero when runs < 2
     int runs = 0;
 };

@@ -16,7 +16,9 @@ sim::Time AbstractLink::hop_delay() {
 
 AbstractLink::IdList AbstractLink::acquire_ids() {
     if (id_pool_.empty()) {
-        return std::make_unique<std::vector<util::NodeId>>();
+        // Grow-on-empty refill: allocates only until the pool holds as
+        // many lists as are ever in flight at once, then only recycles.
+        return std::make_unique<std::vector<util::NodeId>>();  // pqs-lint: allow(transitive-hot-path-alloc)
     }
     IdList ids = std::move(id_pool_.back());
     id_pool_.pop_back();
@@ -30,7 +32,7 @@ void AbstractLink::release_ids(IdList ids) {
 
 // pqs-hot: per-message fan-out; every quorum access funnels through here.
 void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
-    world_.metrics().count(packet_tx_metric(*p));
+    ++(world_.metrics().*packet_tx_counter(*p));
     const util::NodeId from = p->link_src;
     const util::NodeId to = p->link_dst;
     const sim::Time delay = hop_delay();
@@ -105,7 +107,7 @@ void AbstractLink::unicast(PacketPtr p, LinkTxCallback done) {
 // pqs-hot: hello heartbeats and RREQ floods all land here — at n=100k
 // this is the single busiest function in the abstract stack.
 void AbstractLink::broadcast(PacketPtr p) {
-    world_.metrics().count(packet_tx_metric(*p));
+    ++(world_.metrics().*packet_tx_counter(*p));
     const util::NodeId from = p->link_src;
     if (!world_.awake(from)) {
         return;

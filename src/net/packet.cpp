@@ -16,18 +16,6 @@ struct SizeVisitor {
     }
 };
 
-struct CategoryVisitor {
-    std::string operator()(const HelloBody&) const { return "hello"; }
-    std::string operator()(const RreqBody&) const { return "routing"; }
-    std::string operator()(const RrepBody&) const { return "routing"; }
-    std::string operator()(const RerrBody&) const { return "routing"; }
-    std::string operator()(const DataBody&) const { return "data"; }
-};
-
-const std::string kHelloTx = "net.hello.tx";
-const std::string kRoutingTx = "net.routing.tx";
-const std::string kDataTx = "net.data.tx";
-
 }  // namespace
 
 std::size_t Packet::size_bytes() const {
@@ -36,24 +24,20 @@ std::size_t Packet::size_bytes() const {
     return std::visit(SizeVisitor{}, body) + 48;
 }
 
-std::string packet_category(const Packet& packet) {
-    return std::visit(CategoryVisitor{}, packet.body);
-}
-
-const std::string& packet_tx_metric(const Packet& packet) {
+std::uint64_t util::KernelStats::*packet_tx_counter(const Packet& packet) {
     if (std::holds_alternative<HelloBody>(packet.body)) {
-        return kHelloTx;
+        return &util::KernelStats::net_hello_tx;
     }
-    return packet.is_data() ? kDataTx : kRoutingTx;
+    return packet.is_data() ? &util::KernelStats::net_data_tx
+                            : &util::KernelStats::net_routing_tx;
 }
 
 std::shared_ptr<Packet> alloc_packet(util::BlockPool& pool) {
     return std::allocate_shared<Packet>(util::PoolAllocator<Packet>{&pool});
 }
 
-namespace {
-
-PacketPtr fill_hello(std::shared_ptr<Packet> p, util::NodeId src) {
+PacketPtr make_hello(util::BlockPool& pool, util::NodeId src) {
+    std::shared_ptr<Packet> p = alloc_packet(pool);
     p->link_src = src;
     p->link_dst = kBroadcast;
     p->ttl = 1;
@@ -61,41 +45,17 @@ PacketPtr fill_hello(std::shared_ptr<Packet> p, util::NodeId src) {
     return p;
 }
 
-PacketPtr fill_data(std::shared_ptr<Packet> p, util::NodeId src,
+PacketPtr make_data(util::BlockPool& pool, util::NodeId src,
                     util::NodeId link_dst, util::NodeId net_src,
                     util::NodeId net_dst, AppMsgPtr app,
                     std::shared_ptr<DeliveryTracker> tracker, int ttl) {
+    std::shared_ptr<Packet> p = alloc_packet(pool);
     p->link_src = src;
     p->link_dst = link_dst;
     p->ttl = ttl;
     p->trace = app ? app->trace : obs::TraceId{0};
     p->body = DataBody{net_src, net_dst, std::move(app), std::move(tracker)};
     return p;
-}
-
-}  // namespace
-
-PacketPtr make_hello(util::NodeId src) {
-    return fill_hello(std::make_shared<Packet>(), src);
-}
-
-PacketPtr make_hello(util::BlockPool& pool, util::NodeId src) {
-    return fill_hello(alloc_packet(pool), src);
-}
-
-PacketPtr make_data(util::NodeId src, util::NodeId link_dst,
-                    util::NodeId net_src, util::NodeId net_dst, AppMsgPtr app,
-                    std::shared_ptr<DeliveryTracker> tracker, int ttl) {
-    return fill_data(std::make_shared<Packet>(), src, link_dst, net_src,
-                     net_dst, std::move(app), std::move(tracker), ttl);
-}
-
-PacketPtr make_data(util::BlockPool& pool, util::NodeId src,
-                    util::NodeId link_dst, util::NodeId net_src,
-                    util::NodeId net_dst, AppMsgPtr app,
-                    std::shared_ptr<DeliveryTracker> tracker, int ttl) {
-    return fill_data(alloc_packet(pool), src, link_dst, net_src, net_dst,
-                     std::move(app), std::move(tracker), ttl);
 }
 
 }  // namespace pqs::net

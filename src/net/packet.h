@@ -7,13 +7,13 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <string>
 #include <variant>
 #include <vector>
 
 #include "net/rreq_flood.h"
 #include "obs/trace.h"
 #include "util/ids.h"
+#include "util/kernel_stats.h"
 #include "util/pool.h"
 
 namespace pqs::net {
@@ -107,26 +107,17 @@ struct Packet {
 
 using PacketPtr = std::shared_ptr<const Packet>;
 
-// Metric category for message accounting: "hello", "routing" or "data".
-std::string packet_category(const Packet& packet);
-// Per-transmission counter key, "net." + packet_category + ".tx": one of
-// three precomputed strings, so the link layers build none per send.
-const std::string& packet_tx_metric(const Packet& packet);
+// The message counter one transmission of `packet` increments:
+// net_hello_tx, net_routing_tx (RREQ/RREP/RERR) or net_data_tx.
+std::uint64_t util::KernelStats::*packet_tx_counter(const Packet& packet);
 
 // Pooled allocation: the Packet and its control block come from one
 // recycled BlockPool block (World::packet_pool()). The pool must outlive
 // the packet.
 std::shared_ptr<Packet> alloc_packet(util::BlockPool& pool);
 
-// Convenience builders. The pooled overloads are what the stack's hot
-// paths use; the plain ones (one make_shared per call) remain for tests
-// and one-off construction.
-PacketPtr make_hello(util::NodeId src);
+// Pooled builders for the two packet kinds the stack originates.
 PacketPtr make_hello(util::BlockPool& pool, util::NodeId src);
-PacketPtr make_data(util::NodeId src, util::NodeId link_dst,
-                    util::NodeId net_src, util::NodeId net_dst, AppMsgPtr app,
-                    std::shared_ptr<DeliveryTracker> tracker = nullptr,
-                    int ttl = 64);
 PacketPtr make_data(util::BlockPool& pool, util::NodeId src,
                     util::NodeId link_dst, util::NodeId net_src,
                     util::NodeId net_dst, AppMsgPtr app,

@@ -34,7 +34,7 @@ private:
             }
             return;
         }
-        world_.metrics().count(packet_tx_metric(*p));
+        ++(world_.metrics().*packet_tx_counter(*p));
         phy::Frame frame;
         frame.dst = p->link_dst == kBroadcast ? phy::kBroadcastId
                                               : p->link_dst;

@@ -22,8 +22,8 @@
 #include "util/alive_set.h"
 #include "util/arena.h"
 #include "util/pool.h"
+#include "util/kernel_stats.h"
 #include "util/rng.h"
-#include "util/stats.h"
 
 namespace pqs::net {
 
@@ -75,11 +75,14 @@ public:
     const WorldParams& params() const { return params_; }
     sim::Simulator& simulator() override { return simulator_; }
     util::Rng& rng() { return rng_; }
-    util::MetricSet& metrics() { return metrics_; }
+    // The counters components write directly: message counts, load
+    // accounting, Byzantine tampers, leases, refresher deferrals. Merged
+    // into kernel_stats(); the kernel-owned fields read zero here.
+    util::KernelStats& metrics() { return metrics_; }
 
-    // Merged kernel counters (event queue + spatial grid + packet pool +
-    // snapshot accounting); deterministic for a fixed seed, reported per
-    // trial on the [perf] stderr channel.
+    // The whole counter block: metrics() plus the event queue, spatial
+    // grid, packet pool, snapshot and energy counters; deterministic for
+    // a fixed seed, reported per trial on the [perf] stderr channel.
     util::KernelStats kernel_stats() const {
         util::KernelStats stats = simulator_.kernel_stats();
         stats += grid_->stats();
@@ -87,17 +90,13 @@ public:
             packet_pool_.fresh_allocs() + packet_pool_.misfit_allocs();
         stats.packet_pool_reuses = packet_pool_.reuses();
         stats.alive_snapshots = alive_snapshots_;
-        stats += app_stats_;
+        stats += metrics_;
         if (energy_) {
             stats.energy_sleep_transitions = energy_->sleep_transitions();
             stats.energy_depletions = energy_->depletions();
         }
         return stats;
     }
-
-    // Application-layer counters (load accounting, Byzantine tampers)
-    // merged into kernel_stats(); deterministic like the kernel block.
-    util::KernelStats& app_stats() { return app_stats_; }
 
     // Byzantine reply tampering (see net/tamper.h). Null by default: the
     // send paths check one pointer and move on, so an adversary-free run
@@ -247,7 +246,7 @@ private:
     util::BlockPool packet_pool_;
     sim::Simulator simulator_;
     util::Rng rng_;
-    util::MetricSet metrics_;
+    util::KernelStats metrics_;
     double side_;
 
     // SoA node state, indexed by NodeId.
@@ -276,7 +275,6 @@ private:
     std::vector<mac::CsmaMac*> macs_;
 
     mutable std::uint64_t alive_snapshots_ = 0;
-    util::KernelStats app_stats_;
     ReplyTamper* tamper_ = nullptr;
 
     // Battery/duty-cycle model; constructed (and a child RNG forked) only

@@ -66,21 +66,6 @@ public:
     std::size_t marked() const { return marked_; }
     const ByzantinePlanParams& params() const { return params_; }
 
-    // What the adversary actually did, maintained by the tamper binding.
-    struct Counters {
-        std::uint64_t replies_dropped = 0;
-        std::uint64_t replies_stale = 0;
-        std::uint64_t replies_fabricated = 0;
-        std::uint64_t replies_replayed = 0;
-
-        std::uint64_t tampered() const {
-            return replies_dropped + replies_stale + replies_fabricated +
-                   replies_replayed;
-        }
-    };
-    Counters& counters() { return counters_; }
-    const Counters& counters() const { return counters_; }
-
 private:
     void mark(util::NodeId id);
 
@@ -89,7 +74,6 @@ private:
     std::vector<std::uint8_t> flags_;  // 0 = honest, else behavior + 1
     std::size_t marked_ = 0;
     std::size_t next_behavior_ = 0;
-    Counters counters_;
 };
 
 }  // namespace pqs::sim

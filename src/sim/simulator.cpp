@@ -29,7 +29,6 @@ std::uint64_t Simulator::run_until(Time until) {
                                           << " behind the clock t=" << now_);
         now_ = fired.time;
         fired.fn();
-        ++processed_;
         ++ran;
     }
     if (now_ < until) {
@@ -51,7 +50,6 @@ std::uint64_t Simulator::run_all(std::uint64_t max_events) {
                                           << " behind the clock t=" << now_);
         now_ = fired.time;
         fired.fn();
-        ++processed_;
         ++ran;
     }
     return ran;
@@ -67,7 +65,6 @@ bool Simulator::step() {
                                       << " behind the clock t=" << now_);
     now_ = fired.time;
     fired.fn();
-    ++processed_;
     return true;
 }
 

@@ -13,7 +13,10 @@ namespace pqs::sim {
 class Simulator {
 public:
     Time now() const { return now_; }
-    std::uint64_t events_processed() const { return processed_; }
+    // Events run so far: the queue's events_fired counter.
+    std::uint64_t events_processed() const {
+        return queue_.stats().events_fired;
+    }
     std::size_t pending_events() const { return queue_.size(); }
 
     // Kernel counters of the underlying event queue (scheduled / fired /
@@ -41,7 +44,6 @@ public:
 private:
     EventQueue queue_;
     Time now_ = 0;
-    std::uint64_t processed_ = 0;
 };
 
 }  // namespace pqs::sim

@@ -1,6 +1,8 @@
 #include "util/kernel_stats.h"
 
 #include <cstddef>
+#include <stdexcept>
+#include <string>
 
 namespace pqs::util {
 
@@ -14,6 +16,26 @@ const KernelStatsField* kernel_stats_fields(std::size_t* count) {
     };
     *count = sizeof(fields) / sizeof(fields[0]);
     return fields;
+}
+
+double KernelStats::counter(std::string_view name) const {
+    std::size_t count = 0;
+    const KernelStatsField* fields = kernel_stats_fields(&count);
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::string_view field = fields[i].name;
+        if (field.size() != name.size()) {
+            continue;
+        }
+        bool same = true;
+        for (std::size_t c = 0; same && c < name.size(); ++c) {
+            same = name[c] == field[c] || (name[c] == '.' && field[c] == '_');
+        }
+        if (same) {
+            return static_cast<double>(fields[i].get(*this));
+        }
+    }
+    throw std::invalid_argument("KernelStats: no counter named " +
+                                std::string(name));
 }
 
 void report_kernel_stats(const KernelStats& stats, const char* label,

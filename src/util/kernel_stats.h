@@ -1,13 +1,18 @@
-// Counter block threaded through the simulation kernel: the event queue
-// (schedule/fire/cancel, heap ops, slab recycling), and the spatial grid
-// (queries, candidate scans, moves). Every counter is driven purely by
-// simulation behaviour, so for a fixed seed the whole block is
-// deterministic — bench and regression harnesses assert on it verbatim,
-// while wall-clock time stays a separate, informational measurement.
+// The one counter block of a simulation run: the event queue
+// (schedule/fire/cancel, heap ops, slab recycling), the spatial grid
+// (queries, candidate scans, moves), the packet pool, the network-layer
+// message counters the paper's cost metric is built from (data, routing
+// and hello transmissions, membership walk hops), and the application
+// hooks (load, Byzantine tampers, energy, leases). Every counter is
+// driven purely by simulation behaviour, so for a fixed seed the whole
+// block is deterministic — bench and regression harnesses assert on it
+// verbatim, while wall-clock time stays a separate, informational
+// measurement.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <string_view>
 
 namespace pqs::util {
 
@@ -45,7 +50,11 @@ namespace pqs::util {
     X(energy_sleep_transitions) /* duty-cycle sleep entries */            \
     X(energy_depletions) /* batteries that hit zero (permanent death) */  \
     X(lease_expirations) /* leased values evicted at their deadline */    \
-    X(refreshes_deferred) /* refresher ticks deferred: owner asleep */
+    X(refreshes_deferred) /* refresher ticks deferred: owner asleep */   \
+    X(net_data_tx)       /* data frames handed to the link */             \
+    X(net_routing_tx)    /* RREQ/RREP/RERR frames handed to the link */   \
+    X(net_hello_tx)      /* hello beacons handed to the link */           \
+    X(membership_msgs)   /* RaWMS random-walk hops sent */
 
 struct KernelStats {
 #define PQS_KERNEL_STATS_DECL(field) std::uint64_t field = 0;
@@ -58,6 +67,11 @@ struct KernelStats {
 #undef PQS_KERNEL_STATS_ADD
         return *this;
     }
+
+    // The counter called `name`, read through the field list below. A
+    // '.' in `name` matches a '_' in the field name, so "net.data.tx"
+    // reads net_data_tx. Throws std::invalid_argument for unknown names.
+    double counter(std::string_view name) const;
 };
 
 // One named view per counter, in declaration order — lets report/JSON

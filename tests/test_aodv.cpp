@@ -59,7 +59,7 @@ TEST(Aodv, DiscoversRouteAndDelivers) {
     EXPECT_TRUE(delivered);
     EXPECT_EQ(received, 1);
     EXPECT_TRUE(w.stack(0).aodv().has_valid_route(dst));
-    EXPECT_GT(w.metrics().counter("net.routing.tx"), 0.0);
+    EXPECT_GT(w.metrics().net_routing_tx, 0u);
 }
 
 TEST(Aodv, RouteReuseAvoidsRediscovery) {
@@ -70,7 +70,7 @@ TEST(Aodv, RouteReuseAvoidsRediscovery) {
     w.stack(0).send_routed(dst, std::make_shared<Ping>(),
                            [&](bool ok) { delivered += ok; });
     w.simulator().run_until(30 * sim::kSecond);
-    const double routing_after_first = w.metrics().counter("net.routing.tx");
+    const std::uint64_t routing_after_first = w.metrics().net_routing_tx;
     for (int i = 0; i < 5; ++i) {
         w.stack(0).send_routed(dst, std::make_shared<Ping>(),
                                [&](bool ok) { delivered += ok; });
@@ -78,8 +78,7 @@ TEST(Aodv, RouteReuseAvoidsRediscovery) {
     w.simulator().run_until(60 * sim::kSecond);
     EXPECT_EQ(delivered, 6);
     // Reuse: no further route discovery traffic.
-    EXPECT_DOUBLE_EQ(w.metrics().counter("net.routing.tx"),
-                     routing_after_first);
+    EXPECT_EQ(w.metrics().net_routing_tx, routing_after_first);
 }
 
 TEST(Aodv, LoopbackDeliversLocally) {
@@ -96,7 +95,7 @@ TEST(Aodv, LoopbackDeliversLocally) {
                            [&](bool d) { ok = d; });
     EXPECT_TRUE(ok);
     EXPECT_EQ(received, 1);
-    EXPECT_DOUBLE_EQ(w.metrics().counter("net.data.tx"), 0.0);
+    EXPECT_EQ(w.metrics().net_data_tx, 0u);
 }
 
 TEST(Aodv, ScopedDiscoveryFailsForFarTarget) {
@@ -316,12 +315,12 @@ TEST(Aodv, LateDuplicateOverLongerPathIsSuppressed) {
     w.simulator().run_until(2 * sim::kSecond);
     EXPECT_FALSE(flood->test_and_set(node));  // marked by the first copy
     EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
-    const double routing = w.metrics().counter("net.routing.tx");
-    EXPECT_GT(routing, 0.0);  // the first copy was forwarded
+    const std::uint64_t routing = w.metrics().net_routing_tx;
+    EXPECT_GT(routing, 0u);  // the first copy was forwarded
 
     w.deliver(node, copy(other, 4));
     w.simulator().run_until(4 * sim::kSecond);
-    EXPECT_DOUBLE_EQ(w.metrics().counter("net.routing.tx"), routing);
+    EXPECT_EQ(w.metrics().net_routing_tx, routing);
     EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
 }
 

@@ -8,7 +8,9 @@
 #include <atomic>
 #include <numeric>
 #include <set>
+#include <string>
 
+#include "same_results.h"
 #include "util/parallel.h"
 
 namespace pqs::exp {
@@ -143,14 +145,13 @@ TEST(ExperimentRunner, ResultsIdenticalAcrossThreadCounts) {
         EXPECT_EQ(serial.trials[t].seed, parallel.trials[t].seed);
     }
     for (std::size_t p = 0; p < serial.points.size(); ++p) {
-        for (const core::ScenarioMetric& metric : core::scenario_metrics()) {
-            EXPECT_EQ(metric.get(serial.points[p].stats.mean),
-                      metric.get(parallel.points[p].stats.mean))
-                << "mean." << metric.name << " at point " << p;
-            EXPECT_EQ(metric.get(serial.points[p].stats.stddev),
-                      metric.get(parallel.points[p].stats.stddev))
-                << "stddev." << metric.name << " at point " << p;
-        }
+        const std::string at = "point " + std::to_string(p) + ": ";
+        core::expect_same_results(serial.points[p].stats.mean,
+                                  parallel.points[p].stats.mean,
+                                  at + "mean.");
+        core::expect_same_results(serial.points[p].stats.stddev,
+                                  parallel.points[p].stats.stddev,
+                                  at + "stddev.");
     }
 }
 
@@ -176,17 +177,21 @@ TEST(RunScenarioAveraged, ReportsStddevAcrossSeeds) {
         core::run_scenario_averaged(p, 3, 11);
     EXPECT_EQ(agg.runs, 3);
     EXPECT_EQ(agg.mean.n, 50u);
-    EXPECT_GT(agg.mean.sim_events, 0.0);
-    // Different seeds produce different event counts, so the error bar on
-    // at least the busiest metric is nonzero.
-    EXPECT_GT(agg.stddev.sim_events, 0.0);
+    // The kernel block is summed over the runs.
+    std::uint64_t events = 0;
+    for (std::uint64_t seed = 11; seed < 14; ++seed) {
+        p.world.seed = seed;
+        events += core::run_scenario(p).kernel.events_fired;
+    }
+    EXPECT_GT(events, 0u);
+    EXPECT_EQ(agg.mean.kernel.events_fired, events);
+    // Different seeds produce different message counts, so the error bar
+    // on the per-lookup message cost is nonzero.
+    EXPECT_GT(agg.stddev.msgs_per_lookup, 0.0);
     // And the aggregate itself is reproducible.
     const core::ScenarioAggregate again =
         core::run_scenario_averaged(p, 3, 11);
-    for (const core::ScenarioMetric& metric : core::scenario_metrics()) {
-        EXPECT_EQ(metric.get(agg.mean), metric.get(again.mean))
-            << metric.name;
-    }
+    core::expect_same_results(agg.mean, again.mean);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 
 #include "core/scenario.h"
 #include "obs/trace.h"
+#include "same_results.h"
 
 namespace pqs::core {
 namespace {
@@ -102,7 +103,7 @@ std::uint64_t to_count(double integral_valued) {
 Fingerprint fingerprint_of(const ScenarioResult& r,
                            const ScenarioParams& p) {
     Fingerprint f;
-    f.sim_events = to_count(r.sim_events);
+    f.sim_events = r.kernel.events_fired;
     f.events_scheduled = r.kernel.events_scheduled;
     f.events_fired = r.kernel.events_fired;
     f.events_cancelled = r.kernel.events_cancelled;
@@ -115,8 +116,7 @@ Fingerprint fingerprint_of(const ScenarioResult& r,
     f.hits = to_count(r.hit_ratio * static_cast<double>(p.lookup_count));
     f.intersects =
         to_count(r.intersect_ratio * static_cast<double>(p.lookup_count));
-    f.msgs_total = to_count(r.totals.counter("net.data.tx") +
-                            r.totals.counter("net.routing.tx"));
+    f.msgs_total = r.kernel.net_data_tx + r.kernel.net_routing_tx;
     return f;
 }
 
@@ -220,7 +220,7 @@ TEST(GoldenDeterminism, ByzantineHookQuiescentAtZero) {
     // inconclusive.
     const ScenarioResult r = run_scenario(golden_params());
     EXPECT_EQ(r.byzantine_marked, 0.0);
-    EXPECT_EQ(r.byzantine_tampered, 0.0);
+    EXPECT_EQ(r.kernel.byzantine_tampers, 0u);
     EXPECT_EQ(r.inconclusive_rate, 0.0);
 }
 
@@ -269,9 +269,9 @@ TEST(GoldenDeterminism, ByzantineScenarioFingerprint) {
         << "\ngot      " << got
         << "\nIf the change is intended, update kGoldenByzantine and "
            "justify the new numbers in the PR body.";
-    // Adversary accounting, pinned exactly (doubles holding integers).
+    // Adversary accounting, pinned exactly.
     EXPECT_EQ(r.byzantine_marked, 2.0);
-    EXPECT_EQ(r.byzantine_tampered, 14.0);
+    EXPECT_EQ(r.kernel.byzantine_tampers, 14u);
 }
 
 TEST(GoldenDeterminism, ByzantineRepeatRunBitIdentical) {
@@ -279,9 +279,7 @@ TEST(GoldenDeterminism, ByzantineRepeatRunBitIdentical) {
     const ScenarioResult a = run_scenario(p);
     const ScenarioResult b = run_scenario(p);
     EXPECT_TRUE(fingerprint_of(a, p) == fingerprint_of(b, p));
-    for (const ScenarioMetric& m : scenario_metrics()) {
-        EXPECT_EQ(m.get(a), m.get(b)) << m.name;
-    }
+    expect_same_results(a, b);
 }
 
 TEST(GoldenDeterminism, RepeatRunBitIdentical) {

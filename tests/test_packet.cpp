@@ -5,22 +5,26 @@
 namespace pqs::net {
 namespace {
 
+using util::KernelStats;
+
 TEST(Packet, HelloBuilder) {
-    const PacketPtr p = make_hello(7);
+    util::BlockPool pool;
+    const PacketPtr p = make_hello(pool, 7);
     EXPECT_EQ(p->link_src, 7u);
     EXPECT_EQ(p->link_dst, kBroadcast);
     EXPECT_EQ(p->ttl, 1);
     EXPECT_TRUE(std::holds_alternative<HelloBody>(p->body));
-    EXPECT_EQ(packet_category(*p), "hello");
+    EXPECT_EQ(packet_tx_counter(*p), &KernelStats::net_hello_tx);
 }
 
 TEST(Packet, DataBuilder) {
     struct Msg final : AppMessage {
         std::size_t size_bytes() const override { return 100; }
     };
+    util::BlockPool pool;
     auto tracker = std::make_shared<DeliveryTracker>();
     const PacketPtr p =
-        make_data(1, 2, 1, 9, std::make_shared<Msg>(), tracker, 16);
+        make_data(pool, 1, 2, 1, 9, std::make_shared<Msg>(), tracker, 16);
     EXPECT_EQ(p->link_src, 1u);
     EXPECT_EQ(p->link_dst, 2u);
     EXPECT_EQ(p->ttl, 16);
@@ -28,25 +32,26 @@ TEST(Packet, DataBuilder) {
     EXPECT_EQ(p->data().net_src, 1u);
     EXPECT_EQ(p->data().net_dst, 9u);
     EXPECT_EQ(p->data().tracker, tracker);
-    EXPECT_EQ(packet_category(*p), "data");
+    EXPECT_EQ(packet_tx_counter(*p), &KernelStats::net_data_tx);
     // App payload size plus framing overhead.
     EXPECT_EQ(p->size_bytes(), 100u + 48u);
 }
 
 TEST(Packet, DefaultAppMessageSize) {
     struct Msg final : AppMessage {};
-    const PacketPtr p = make_data(1, 2, 1, 2, std::make_shared<Msg>());
+    util::BlockPool pool;
+    const PacketPtr p = make_data(pool, 1, 2, 1, 2, std::make_shared<Msg>());
     EXPECT_EQ(p->size_bytes(), 512u + 48u);
 }
 
 TEST(Packet, RoutingCategories) {
     Packet p;
     p.body = RreqBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_tx_counter(p), &KernelStats::net_routing_tx);
     p.body = RrepBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_tx_counter(p), &KernelStats::net_routing_tx);
     p.body = RerrBody{};
-    EXPECT_EQ(packet_category(p), "routing");
+    EXPECT_EQ(packet_tx_counter(p), &KernelStats::net_routing_tx);
 }
 
 TEST(Packet, RerrSizeGrowsWithEntries) {

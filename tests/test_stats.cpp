@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+
+#include "util/kernel_stats.h"
 
 namespace pqs::util {
 namespace {
@@ -116,45 +119,16 @@ TEST(Histogram, QuantileOnEmptyThrows) {
     EXPECT_THROW(h.quantile(0.5), std::logic_error);
 }
 
-TEST(MetricSet, CountersAccumulate) {
-    MetricSet m;
-    m.count("x");
-    m.count("x", 2.5);
-    EXPECT_DOUBLE_EQ(m.counter("x"), 3.5);
-    EXPECT_DOUBLE_EQ(m.counter("missing"), 0.0);
-}
-
-TEST(MetricSet, Samples) {
-    MetricSet m;
-    m.sample("lat", 1.0);
-    m.sample("lat", 3.0);
-    const Accumulator* acc = m.find("lat");
-    ASSERT_NE(acc, nullptr);
-    EXPECT_DOUBLE_EQ(acc->mean(), 2.0);
-    EXPECT_EQ(m.find("missing"), nullptr);
-}
-
-TEST(MetricSet, Merge) {
-    MetricSet a;
-    MetricSet b;
-    a.count("c", 1.0);
-    b.count("c", 2.0);
-    b.count("d", 5.0);
-    a.sample("s", 1.0);
-    b.sample("s", 3.0);
-    a.merge(b);
-    EXPECT_DOUBLE_EQ(a.counter("c"), 3.0);
-    EXPECT_DOUBLE_EQ(a.counter("d"), 5.0);
-    EXPECT_DOUBLE_EQ(a.find("s")->mean(), 2.0);
-}
-
-TEST(MetricSet, Clear) {
-    MetricSet m;
-    m.count("c");
-    m.sample("s", 1.0);
-    m.clear();
-    EXPECT_DOUBLE_EQ(m.counter("c"), 0.0);
-    EXPECT_EQ(m.find("s"), nullptr);
+TEST(KernelStats, CounterReadsFieldByName) {
+    KernelStats k;
+    k.net_data_tx = 7;
+    k.events_fired = 3;
+    EXPECT_DOUBLE_EQ(k.counter("net.data.tx"), 7.0);
+    EXPECT_DOUBLE_EQ(k.counter("net_data_tx"), 7.0);
+    EXPECT_DOUBLE_EQ(k.counter("events_fired"), 3.0);
+    EXPECT_DOUBLE_EQ(k.counter("net.routing.tx"), 0.0);
+    EXPECT_THROW(k.counter("net.data"), std::invalid_argument);
+    EXPECT_THROW(k.counter("net-data-tx"), std::invalid_argument);
 }
 
 }  // namespace

@@ -156,7 +156,7 @@ TEST(World, UnicastBetweenNeighbors) {
     w.simulator().run_until(sim::kSecond);
     EXPECT_EQ(received, 1);
     EXPECT_TRUE(acked);
-    EXPECT_EQ(w.metrics().counter("net.data.tx"), 1.0);
+    EXPECT_EQ(w.metrics().net_data_tx, 1u);
 }
 
 TEST(World, UnicastToFarNodeFails) {

@@ -647,6 +647,11 @@ class _Parser:
                             self.text(i + 3) == ")":
                         fn["entropy"].append(["time(nullptr)", t.line])
 
+            # Factory calls with explicit template arguments: the
+            # argument list follows the '<...>', not the name.
+            if name in ("make_unique", "make_shared") and nxt == "<":
+                fn["allocs"].append(["std::" + name, t.line])
+
             # By-value vector/string construction (heap traffic).
             if name in ("vector", "string") and self.text(i - 1) == "::":
                 j = i + 1
