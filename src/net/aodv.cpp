@@ -348,7 +348,7 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
         rrep.target = stack_.id();
         rrep.target_seq = ++my_seq_;
         rrep.hop_count = 0;
-        send_rrep_towards(body.origin, rrep);
+        send_rrep_towards(body.origin, rrep, params_.net_diameter);
         return;
     }
     // Intermediate reply when we have a fresh-enough route — with enough
@@ -365,7 +365,7 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
         rrep.target = body.target;
         rrep.target_seq = route->seq;
         rrep.hop_count = route->hops;
-        send_rrep_towards(body.origin, rrep);
+        send_rrep_towards(body.origin, rrep, params_.net_diameter);
         return;
     }
     if (ttl <= 1) {
@@ -390,7 +390,8 @@ void Aodv::on_rreq(util::NodeId from, const RreqBody& body, int ttl) {
     });
 }
 
-void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
+void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body,
+                             int ttl) {
     const Route* route = routes_.find(origin);
     if (route == nullptr || !route_usable(*route)) {
         return;  // reverse route evaporated; the origin will retry
@@ -399,7 +400,7 @@ void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
     auto p = stack_.world().new_packet();
     p->link_src = stack_.id();
     p->link_dst = next_hop;
-    p->ttl = params_.net_diameter;
+    p->ttl = ttl;
     p->body = body;
     PacketPtr pc = p;
     stack_.link_unicast(pc, [this, next_hop](bool ok) {
@@ -409,7 +410,7 @@ void Aodv::send_rrep_towards(util::NodeId origin, const RrepBody& body) {
     });
 }
 
-void Aodv::on_rrep(util::NodeId from, const RrepBody& body) {
+void Aodv::on_rrep(util::NodeId from, const RrepBody& body, int ttl) {
     // Forward route to the target through the RREP sender.
     install_route(body.target, from,
                   static_cast<std::uint16_t>(body.hop_count + 1),
@@ -418,9 +419,14 @@ void Aodv::on_rrep(util::NodeId from, const RrepBody& body) {
         discovery_succeeded(body.target);
         return;
     }
+    // The TTL bounds an RREP caught in a reverse-route loop (two nodes
+    // whose routes to the origin point at each other).
+    if (ttl <= 1) {
+        return;
+    }
     RrepBody fwd = body;
     fwd.hop_count = static_cast<std::uint16_t>(body.hop_count + 1);
-    send_rrep_towards(body.origin, fwd);
+    send_rrep_towards(body.origin, fwd, ttl - 1);
 }
 
 void Aodv::on_rerr(util::NodeId from, const RerrBody& body) {

@@ -53,7 +53,7 @@ public:
 
     // Control-plane input from the stack.
     void on_rreq(util::NodeId from, const RreqBody& body, int ttl);
-    void on_rrep(util::NodeId from, const RrepBody& body);
+    void on_rrep(util::NodeId from, const RrepBody& body, int ttl);
     void on_rerr(util::NodeId from, const RerrBody& body);
     // Data packet addressed past this node.
     void forward_data(PacketPtr p);
@@ -91,7 +91,8 @@ private:
     void discovery_succeeded(util::NodeId dst);
     void discovery_failed(util::NodeId dst);
     void handle_broken_link(util::NodeId next_hop);
-    void send_rrep_towards(util::NodeId origin, const RrepBody& body);
+    void send_rrep_towards(util::NodeId origin, const RrepBody& body,
+                           int ttl);
 
     NodeStack& stack_;
     AodvParams params_;

@@ -204,7 +204,7 @@ void NodeStack::on_receive(PacketPtr p) {
         return;
     }
     if (const auto* rrep = std::get_if<RrepBody>(&p->body)) {
-        aodv_.on_rrep(from, *rrep);
+        aodv_.on_rrep(from, *rrep, p->ttl);
         return;
     }
     if (const auto* rerr = std::get_if<RerrBody>(&p->body)) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/node_stack.h"
@@ -271,6 +272,39 @@ TEST(Aodv, RouteHopsReasonable) {
     EXPECT_LE(via_aodv, shortest + 3);
 }
 
+// The lowest-id node with at least `count` neighbours, and its
+// neighbours; kInvalidNode and none if there is no such node.
+std::pair<util::NodeId, std::vector<util::NodeId>> node_with_neighbors(
+    World& w, std::size_t count) {
+    for (util::NodeId v = 0; v < w.node_count(); ++v) {
+        std::vector<util::NodeId> nbrs = w.physical_neighbors(v);
+        if (nbrs.size() >= count) {
+            return {v, std::move(nbrs)};
+        }
+    }
+    return {util::kInvalidNode, {}};
+}
+
+// One copy of a hand-built RREQ from `origin` for `target`, as `relay`
+// rebroadcasts it after `hops` hops.
+PacketPtr rreq_copy(World& w, const FloodRef& flood, util::NodeId origin,
+                    util::NodeId target, util::NodeId relay,
+                    std::uint16_t hops) {
+    auto p = w.new_packet();
+    p->link_src = relay;
+    p->link_dst = kBroadcast;
+    p->ttl = 6;
+    RreqBody rreq;
+    rreq.origin = origin;
+    rreq.target = target;
+    rreq.origin_seq = 7;
+    rreq.rreq_id = 1;
+    rreq.hop_count = hops;
+    rreq.flood = flood;
+    p->body = std::move(rreq);
+    return p;
+}
+
 // A copy of an RREQ that reaches a node late, over a longer path, is
 // still a duplicate: the node neither re-forwards nor reroutes.
 TEST(Aodv, LateDuplicateOverLongerPathIsSuppressed) {
@@ -278,15 +312,7 @@ TEST(Aodv, LateDuplicateOverLongerPathIsSuppressed) {
     w.start();
     // The flood starts at `origin` and reaches `node` directly; the late
     // copy comes from `other` as if it had travelled five hops.
-    util::NodeId node = util::kInvalidNode;
-    std::vector<util::NodeId> nbrs;
-    for (util::NodeId v = 0; v < w.node_count(); ++v) {
-        nbrs = w.physical_neighbors(v);
-        if (nbrs.size() >= 2) {
-            node = v;
-            break;
-        }
-    }
+    const auto [node, nbrs] = node_with_neighbors(w, 2);
     ASSERT_NE(node, util::kInvalidNode);
     const util::NodeId origin = nbrs[0];
     const util::NodeId other = nbrs[1];
@@ -295,33 +321,45 @@ TEST(Aodv, LateDuplicateOverLongerPathIsSuppressed) {
 
     FloodRef flood = w.flood_pool().acquire();
     flood->test_and_set(origin);
-    auto copy = [&](util::NodeId relay, std::uint16_t hops) {
-        auto p = w.new_packet();
-        p->link_src = relay;
-        p->link_dst = kBroadcast;
-        p->ttl = 6;
-        RreqBody rreq;
-        rreq.origin = origin;
-        rreq.target = target;
-        rreq.origin_seq = 7;
-        rreq.rreq_id = 1;
-        rreq.hop_count = hops;
-        rreq.flood = flood;
-        p->body = std::move(rreq);
-        return PacketPtr(p);
-    };
-
-    w.deliver(node, copy(origin, 0));
+    w.deliver(node, rreq_copy(w, flood, origin, target, origin, 0));
     w.simulator().run_until(2 * sim::kSecond);
     EXPECT_FALSE(flood->test_and_set(node));  // marked by the first copy
     EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
     const std::uint64_t routing = w.metrics().net_routing_tx;
     EXPECT_GT(routing, 0u);  // the first copy was forwarded
 
-    w.deliver(node, copy(other, 4));
+    w.deliver(node, rreq_copy(w, flood, origin, target, other, 4));
     w.simulator().run_until(4 * sim::kSecond);
     EXPECT_EQ(w.metrics().net_routing_tx, routing);
     EXPECT_EQ(w.stack(node).aodv().route_hops(origin), 1u);
+}
+
+// An RREP caught in a reverse-route loop dies when its TTL runs out
+// instead of circulating for ever. The first copy of the RREQ reaches
+// `node` from `other`, which never heard the flood: when `node`
+// rebroadcasts, `other` takes `node` as its next hop back to the origin
+// while `node` routes back through `other`. The target, a third
+// neighbour of `node`, answers through `node`, and the RREP then
+// bounces between `node` and `other`.
+TEST(Aodv, RrepInReverseRouteLoopExpires) {
+    World w(abstract_world(80, 4));
+    w.start();
+    const auto [node, nbrs] = node_with_neighbors(w, 3);
+    ASSERT_NE(node, util::kInvalidNode);
+    const util::NodeId origin = nbrs[0];
+    const util::NodeId other = nbrs[1];
+    const util::NodeId target = nbrs[2];
+
+    FloodRef flood = w.flood_pool().acquire();
+    flood->test_and_set(origin);
+    w.deliver(node, rreq_copy(w, flood, origin, target, other, 4));
+    w.simulator().run_until(2 * sim::kSecond);
+    const std::uint64_t routing = w.metrics().net_routing_tx;
+    EXPECT_GT(routing, 0u);
+    // Nothing else in this idle world sends routing traffic, so once the
+    // looping RREP has spent its TTL the counter stops.
+    w.simulator().run_until(4 * sim::kSecond);
+    EXPECT_EQ(w.metrics().net_routing_tx, routing);
 }
 
 // A node that joins mid-flood has an id above every id the flood's record
