@@ -21,8 +21,8 @@
 #include "sim/simulator.h"
 #include "util/alive_set.h"
 #include "util/arena.h"
-#include "util/pool.h"
 #include "util/kernel_stats.h"
+#include "util/pool.h"
 #include "util/rng.h"
 
 namespace pqs::net {

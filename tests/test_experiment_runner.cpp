@@ -180,8 +180,9 @@ TEST(RunScenarioAveraged, ReportsStddevAcrossSeeds) {
     // The kernel block is summed over the runs.
     std::uint64_t events = 0;
     for (std::uint64_t seed = 11; seed < 14; ++seed) {
-        p.world.seed = seed;
-        events += core::run_scenario(p).kernel.events_fired;
+        core::ScenarioParams one = p;
+        one.world.seed = seed;
+        events += core::run_scenario(one).kernel.events_fired;
     }
     EXPECT_GT(events, 0u);
     EXPECT_EQ(agg.mean.kernel.events_fired, events);
